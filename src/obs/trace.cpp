@@ -205,6 +205,17 @@ TraceRecorder::addSpan(std::string name, Clock::time_point start,
                        Clock::time_point end, std::vector<TraceArg> args,
                        const TraceContextSnapshot &ctx)
 {
+    if (ctx.active)
+        addSpan(std::move(name), start, end, std::move(args), ctx,
+                newTraceId());
+}
+
+void
+TraceRecorder::addSpan(std::string name, Clock::time_point start,
+                       Clock::time_point end, std::vector<TraceArg> args,
+                       const TraceContextSnapshot &ctx,
+                       std::uint64_t span_id)
+{
     if (!ctx.active)
         return;
     TraceSpan span;
@@ -215,7 +226,7 @@ TraceRecorder::addSpan(std::string name, Clock::time_point start,
         std::chrono::duration<double, std::micro>(end - start).count();
     span.trace_id = ctx.trace_id;
     span.parent_span_id = ctx.parent_span_id;
-    span.span_id = newTraceId();
+    span.span_id = span_id;
     span.args = std::move(args);
     record(std::move(span));
 }

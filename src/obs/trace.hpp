@@ -148,6 +148,12 @@ class TraceRecorder
                  Clock::time_point end, std::vector<TraceArg> args,
                  const TraceContextSnapshot &ctx);
 
+    /** As above, under a span id the caller already handed to
+     *  children (from newTraceId()). */
+    void addSpan(std::string name, Clock::time_point start,
+                 Clock::time_point end, std::vector<TraceArg> args,
+                 const TraceContextSnapshot &ctx, std::uint64_t span_id);
+
     /** Microseconds since the recorder epoch (start() resets it). */
     double toMicros(Clock::time_point tp) const;
 

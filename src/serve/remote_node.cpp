@@ -185,64 +185,57 @@ RemoteNodeClient::health(rpc::HealthResponse *out) const
     try {
         rpc::HealthResponse decoded =
             rpc::decodeHealthResponse(reply.payload);
-        if (decoded.protocol_version < rpc::kMinProtocolVersion ||
-            decoded.protocol_version > rpc::kProtocolVersion)
+        if (decoded.protocol_version != rpc::kProtocolVersion)
             return false;
-        peer_version_.store(decoded.protocol_version,
-                            std::memory_order_relaxed);
         shard_vectors_.store(
             static_cast<std::size_t>(decoded.shard_vectors));
-        if (decoded.has_clock) {
-            double local_t0 = recorder.toMicros(t0);
-            double local_t1 = recorder.toMicros(t1);
-            double rtt = local_t1 - local_t0;
-            double offset =
-                (local_t0 + local_t1) / 2.0 - decoded.trace_now_us;
-            bool kept = false;
-            {
-                std::unique_lock<std::mutex> lock(stats_mutex_);
-                // A big jump in the measured offset means the peer's
-                // trace epoch moved — a restarted shard process — so
-                // the old sample (however tight its RTT) refers to a
-                // clock that no longer exists and must be replaced.
-                bool epoch_changed = clock_sync_.valid &&
-                    std::fabs(offset - clock_sync_.offset_us) >
-                        kEpochJumpUs;
-                if (!clock_sync_.valid || epoch_changed ||
-                    rtt <= clock_sync_.rtt_us) {
-                    clock_sync_.valid = true;
-                    clock_sync_.node_id = decoded.node_id;
-                    clock_sync_.offset_us = offset;
-                    clock_sync_.rtt_us = rtt;
-                    kept = true;
-                }
+        double local_t0 = recorder.toMicros(t0);
+        double local_t1 = recorder.toMicros(t1);
+        double rtt = local_t1 - local_t0;
+        double offset = (local_t0 + local_t1) / 2.0 - decoded.trace_now_us;
+        bool kept = false;
+        {
+            std::unique_lock<std::mutex> lock(stats_mutex_);
+            // A big jump in the measured offset means the peer's trace
+            // epoch moved — a restarted shard process — so the old
+            // sample (however tight its RTT) refers to a clock that no
+            // longer exists and must be replaced.
+            bool epoch_changed = clock_sync_.valid &&
+                std::fabs(offset - clock_sync_.offset_us) > kEpochJumpUs;
+            if (!clock_sync_.valid || epoch_changed ||
+                rtt <= clock_sync_.rtt_us) {
+                clock_sync_.valid = true;
+                clock_sync_.node_id = decoded.node_id;
+                clock_sync_.offset_us = offset;
+                clock_sync_.rtt_us = rtt;
+                kept = true;
             }
-            // The gauge mirrors the kept (lowest-RTT) estimate, not
-            // every raw handshake — a slow scrape-time handshake must
-            // not overwrite a tight earlier measurement.
-            if (kept) {
-                obs::Registry::instance()
-                    .gauge(obs::names::rpcNodeMetric(
-                        decoded.node_id, obs::names::kRpcClockOffsetUs))
-                    .set(offset);
-            }
-            if (recorder.enabled()) {
-                // Drop the measurement into the local span stream: the
-                // trace-merge tool reads rpc.clock_sync events out of
-                // the broker dump to align each shard's timestamps,
-                // long after this process has exited.
-                obs::TraceSpan sync;
-                sync.name = "rpc.clock_sync";
-                sync.tid = obs::TraceRecorder::currentThreadId();
-                sync.ts_us = local_t1;
-                sync.instant = true;
-                sync.args = {
-                    {"node_id", std::to_string(decoded.node_id), true},
-                    {"endpoint", endpoint_, false},
-                    {"offset_us", obs::detail::jsonNumber(offset), true},
-                    {"rtt_us", obs::detail::jsonNumber(rtt), true}};
-                recorder.record(std::move(sync));
-            }
+        }
+        // The gauge mirrors the kept (lowest-RTT) estimate, not every
+        // raw handshake — a slow scrape-time handshake must not
+        // overwrite a tight earlier measurement.
+        if (kept) {
+            obs::Registry::instance()
+                .gauge(obs::names::rpcNodeMetric(
+                    decoded.node_id, obs::names::kRpcClockOffsetUs))
+                .set(offset);
+        }
+        if (recorder.enabled()) {
+            // Drop the measurement into the local span stream: the
+            // trace-merge tool reads rpc.clock_sync events out of the
+            // broker dump to align each shard's timestamps, long after
+            // this process has exited.
+            obs::TraceSpan sync;
+            sync.name = "rpc.clock_sync";
+            sync.tid = obs::TraceRecorder::currentThreadId();
+            sync.ts_us = local_t1;
+            sync.instant = true;
+            sync.args = {
+                {"node_id", std::to_string(decoded.node_id), true},
+                {"endpoint", endpoint_, false},
+                {"offset_us", obs::detail::jsonNumber(offset), true},
+                {"rtt_us", obs::detail::jsonNumber(rtt), true}};
+            recorder.record(std::move(sync));
         }
         if (out)
             *out = decoded;
@@ -340,19 +333,19 @@ RemoteNodeClient::ensureConnected(net::Socket &socket)
         HERMES_DEBUG("remote node dial failed: ", error);
         return false;
     }
-    m_redials_->add(1);
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++client_stats_.reconnects;
-    }
-    // Automatic version handshake on every successful dial: callers
-    // that never health-gate explicitly (plain submit() traffic) still
-    // negotiate v2 and get trace propagation, and a redial after a
+    // Hard version check on every dial: no search frame goes to a shard
+    // that has not answered a same-version Health, and a redial after a
     // shard restart re-measures the new process's clock epoch (the old
-    // offset is meaningless against it). A failed attempt just leaves
-    // the peer version unknown (= inject nothing), never blocks
-    // traffic; dials are rare so the extra control RPC is noise.
-    health();
+    // offset is meaningless against it). Dials are rare, so the extra
+    // control RPC is noise.
+    if (!health()) {
+        HERMES_DEBUG("remote node handshake failed: ", endpoint_);
+        socket.close();
+        return false;
+    }
+    m_redials_->add(1);
+    std::unique_lock<std::mutex> lock(stats_mutex_);
+    ++client_stats_.reconnects;
     return true;
 }
 
@@ -402,97 +395,10 @@ RemoteNodeClient::roundTrip(net::Socket &socket, rpc::Type type,
 }
 
 void
-RemoteNodeClient::retrySingles(net::Socket &socket,
-                               std::vector<Pending> &group)
-{
-    const bool inject = peerVersion() >= 2;
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        auto &pending = group[i];
-        rpc::SearchRequest request;
-        request.k = pending.k;
-        request.params = pending.params;
-        request.deadline_ms = options_.request_deadline_ms;
-        request.query = pending.query;
-        net::Frame reply;
-        bool ok;
-        {
-            // rpc.search spans the wire round trip; the injected
-            // context's parent is the span itself, so shard-side spans
-            // nest under it. Scope closes before the reply is acted on
-            // so a per-query retry never runs inside another request's
-            // context.
-            std::optional<obs::TraceContext> trace_context;
-            std::optional<obs::ScopedSpan> span;
-            if (pending.trace.active) {
-                trace_context.emplace(pending.trace);
-                span.emplace("rpc.search");
-                span->arg("endpoint", endpoint_);
-                if (inject) {
-                    request.trace = obs::currentTraceContext();
-                } else {
-                    span->arg("peer_untraced", std::string("v1"));
-                }
-            }
-            m_batch_size_->observe(1.0);
-            ok = ensureConnected(socket) &&
-                roundTrip(socket, rpc::Type::SearchRequest,
-                          rpc::encodeSearchRequest(request), reply);
-        }
-        if (!ok) {
-            pending.promise.set_exception(std::make_exception_ptr(
-                remoteError("transport failure to " + options_.host + ":" +
-                            std::to_string(options_.port))));
-            continue;
-        }
-        if (static_cast<rpc::Type>(reply.type) ==
-            rpc::Type::SearchResponse) {
-            try {
-                pending.promise.set_value(
-                    rpc::decodeSearchResponse(reply.payload));
-                continue;
-            } catch (const std::exception &e) {
-                socket.close();
-                pending.promise.set_exception(
-                    std::make_exception_ptr(remoteError(e.what())));
-                continue;
-            }
-        }
-        std::string reason = "unexpected frame type " +
-            std::to_string(reply.type);
-        if (static_cast<rpc::Type>(reply.type) ==
-            rpc::Type::ErrorResponse) {
-            rpc::ErrorCode code = rpc::ErrorCode::Internal;
-            try {
-                rpc::ErrorBody body = rpc::decodeError(reply.payload);
-                reason = body.message;
-                code = body.code;
-            } catch (const std::exception &) {
-            }
-            countRemoteError(code);
-            {
-                std::unique_lock<std::mutex> lock(stats_mutex_);
-                ++client_stats_.remote_errors;
-            }
-        } else {
-            socket.close();
-        }
-        pending.promise.set_exception(
-            std::make_exception_ptr(remoteError(reason)));
-    }
-    group.clear();
-}
-
-void
 RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
 {
     if (!ensureConnected(socket)) {
-        failGroup(group, "cannot reach " + options_.host + ":" +
-                             std::to_string(options_.port));
-        return;
-    }
-
-    if (group.size() == 1) {
-        retrySingles(socket, group); // the single path IS the retry path
+        failGroup(group, "cannot reach " + endpoint_);
         return;
     }
 
@@ -507,7 +413,7 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
         request.queries.insert(request.queries.end(),
                                pending.query.begin(), pending.query.end());
     }
-    {
+    if (group.size() > 1) {
         std::unique_lock<std::mutex> lock(stats_mutex_);
         ++client_stats_.batched_rpcs;
         client_stats_.batched_requests += group.size();
@@ -516,10 +422,13 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
     net::Frame reply;
     bool sent_ok;
     {
-        // One rpc.search_batch span per coalesced RPC, opened in the
-        // first traced member's context. Members of *other* traces (a
-        // coalesced RPC can mix them) keep their own identity on the
-        // wire, parented to their original broker-side span.
+        // One rpc.search span per RPC, opened in the first traced
+        // member's context; the injected context's parent is the span
+        // itself, so shard-side spans nest under it. Members of *other*
+        // traces (a coalesced RPC can mix them) keep their own identity
+        // on the wire, parented to their original broker-side span. The
+        // scope closes before the reply is acted on, so a re-sent
+        // member never runs inside another request's context.
         std::optional<obs::TraceContext> trace_context;
         std::optional<obs::ScopedSpan> span;
         obs::TraceContextSnapshot span_ctx;
@@ -531,12 +440,12 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
         }
         if (span_ctx.active) {
             trace_context.emplace(span_ctx);
-            span.emplace("rpc.search_batch");
+            span.emplace("rpc.search");
             span->arg("endpoint", endpoint_);
             span->arg("requests",
                       static_cast<std::uint64_t>(group.size()));
         }
-        if (peerVersion() >= 2 && span && span->active()) {
+        if (span && span->active()) {
             request.traces.resize(group.size());
             for (std::size_t i = 0; i < group.size(); ++i) {
                 const auto &trace = group[i].trace;
@@ -552,8 +461,7 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
                             rpc::encodeSearchBatchRequest(request), reply);
     }
     if (!sent_ok) {
-        failGroup(group, "transport failure to " + options_.host + ":" +
-                             std::to_string(options_.port));
+        failGroup(group, "transport failure to " + endpoint_);
         return;
     }
 
@@ -578,20 +486,31 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
         return;
       }
       case rpc::Type::ErrorResponse: {
-        rpc::ErrorCode code = rpc::ErrorCode::Internal;
+        rpc::ErrorBody body;
         try {
-            code = rpc::decodeError(reply.payload).code;
-        } catch (const std::exception &) {
+            body = rpc::decodeError(reply.payload);
+        } catch (const std::exception &e) {
+            body.message = e.what();
         }
-        countRemoteError(code);
+        countRemoteError(body.code);
         {
             std::unique_lock<std::mutex> lock(stats_mutex_);
             ++client_stats_.remote_errors;
         }
+        if (group.size() == 1) {
+            failGroup(group, body.message);
+            return;
+        }
         // A batch-level fault (one poisoned query, a shard-side
-        // timeout) must not fail its neighbours: retry each request
-        // as its own RPC so only the guilty one carries the error.
-        retrySingles(socket, group);
+        // timeout) must not fail its neighbours: re-send each request
+        // as its own batch of one so only the guilty one carries the
+        // error.
+        for (auto &pending : group) {
+            std::vector<Pending> single;
+            single.push_back(std::move(pending));
+            runRpc(socket, single);
+        }
+        group.clear();
         return;
       }
       default:

@@ -9,21 +9,28 @@
  * the broker's scatter/gather, deadlines, retries and degradation run
  * exactly as they do against in-process nodes.
  *
- * Wire-level micro-batching: a worker that finds several queued
- * requests with identical (k, params) coalesces them into a single
- * SearchBatch RPC, which the shard fans back into its node queue
- * back-to-back — so PR 5's list-major batching engages across the
- * wire with one round trip instead of Q.
+ * Every search RPC is a SearchBatch. A worker that finds several
+ * queued requests with identical (k, params) coalesces them into one
+ * RPC, which the shard fans back into its node queue back-to-back — so
+ * PR 5's list-major batching engages across the wire with one round
+ * trip instead of Q; a lone request goes as a batch of one.
+ *
+ * Version check: every successful dial runs a Health handshake, and a
+ * connection counts (and carries searches) only once the shard has
+ * answered with this build's kProtocolVersion. A shard of another
+ * version never sees a search frame.
  *
  * Failure model:
- *  - Connect failure / peer reset / torn response: every request that
- *    rode that RPC gets its future failed with an exception (the
- *    broker counts a failure and retries), the connection is dropped
- *    and re-dialed on the next request — which is what makes a shard
- *    restart invisible beyond the degraded window.
- *  - A typed ErrorResponse fails only the requests of that RPC;
- *    batch-level errors are retried per-query over the wire first, so
- *    one poisoned query cannot fail its neighbours.
+ *  - Connect failure / failed handshake / peer reset / torn response:
+ *    every request that rode that RPC gets its future failed with an
+ *    exception (the broker counts a failure and retries), the
+ *    connection is dropped and re-dialed on the next request — which
+ *    is what makes a shard restart invisible beyond the degraded
+ *    window.
+ *  - A typed ErrorResponse fails only the requests of that RPC; when
+ *    it answers a batch of more than one, each member is re-sent as
+ *    its own batch of one, so one poisoned query cannot fail its
+ *    neighbours.
  *  - Responses are matched by frame id; a mismatched id (stale reply
  *    after a local timeout) poisons the connection, never a future.
  */
@@ -83,7 +90,7 @@ struct RemoteNodeOptions
 struct RemoteNodeClientStats
 {
     std::uint64_t rpcs_sent = 0;
-    std::uint64_t batched_rpcs = 0;      ///< SearchBatch frames sent
+    std::uint64_t batched_rpcs = 0;      ///< search RPCs of > 1 request
     std::uint64_t batched_requests = 0;  ///< requests that rode them
     std::uint64_t reconnects = 0;
     std::uint64_t transport_failures = 0;
@@ -131,23 +138,12 @@ class RemoteNodeClient final : public NodeClient
     std::size_t shardSize() const override;
 
     /**
-     * Health RPC on the control channel. True when the shard answers
-     * with a compatible protocol version ([kMinProtocolVersion,
-     * kProtocolVersion]); fills @p out when given. Also refreshes the
-     * cached shard size, the negotiated peer version (which gates
-     * trace-context injection) and the clock-sync estimate.
+     * Health RPC on the control channel. True only when the shard
+     * answers with a HealthResponse of this build's kProtocolVersion;
+     * fills @p out when given. Also refreshes the cached shard size and
+     * the clock-sync estimate.
      */
     bool health(rpc::HealthResponse *out = nullptr) const;
-
-    /**
-     * Last negotiated peer protocol version; 0 until a Health
-     * handshake succeeds. Trace context goes on the wire only when
-     * this is >= 2, so a v1 shard never sees v2 trailing bytes.
-     */
-    std::uint32_t peerVersion() const
-    {
-        return peer_version_.load(std::memory_order_relaxed);
-    }
 
     /** Best (lowest-RTT) clock alignment measured so far. */
     RemoteClockSync clockSync() const;
@@ -176,14 +172,13 @@ class RemoteNodeClient final : public NodeClient
     static bool compatible(const Pending &a, const Pending &b);
 
     /**
-     * Run one RPC for @p group on @p socket ((re)dialing as needed).
-     * Fulfils every promise in the group, one way or the other.
+     * Run one SearchBatch RPC for @p group on @p socket ((re)dialing as
+     * needed). Fulfils every promise in the group, one way or the other.
      */
     void runRpc(net::Socket &socket, std::vector<Pending> &group);
 
-    /** Per-query wire retry after a batch-level ErrorResponse. */
-    void retrySingles(net::Socket &socket, std::vector<Pending> &group);
-
+    /** Dial when @p socket is closed; true once a same-version Health
+     *  handshake has succeeded (only then is the dial counted). */
     bool ensureConnected(net::Socket &socket);
 
     /**
@@ -220,12 +215,6 @@ class RemoteNodeClient final : public NodeClient
     obs::Counter *m_remote_errors_;
     obs::Histogram *m_round_trip_us_;
     obs::Histogram *m_batch_size_;
-
-    /** Negotiated peer protocol version (0 = no handshake yet).
-     *  ensureConnected re-runs the Health handshake after every
-     *  successful dial so plain submit() traffic negotiates this and
-     *  a restarted peer's clock epoch gets re-measured. */
-    mutable std::atomic<std::uint32_t> peer_version_{0};
 
     mutable std::mutex queue_mutex_;
     std::condition_variable queue_cv_;

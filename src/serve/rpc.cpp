@@ -13,30 +13,6 @@ constexpr std::size_t kHitWireBytes = 12;
 constexpr std::size_t kMinResponseWireBytes = 36;
 
 void
-encodeParams(net::WireWriter &writer, std::size_t k,
-             const index::SearchParams &params, double deadline_ms)
-{
-    writer.u64(k);
-    writer.u64(params.nprobe);
-    writer.u64(params.ef_search);
-    writer.f64(params.prune_ratio);
-    writer.u64(params.batch_min_scan_floats);
-    writer.f64(deadline_ms);
-}
-
-void
-decodeParams(net::WireReader &reader, std::size_t &k,
-             index::SearchParams &params, double &deadline_ms)
-{
-    k = reader.u64();
-    params.nprobe = reader.u64();
-    params.ef_search = reader.u64();
-    params.prune_ratio = reader.f64();
-    params.batch_min_scan_floats = reader.u64();
-    deadline_ms = reader.f64();
-}
-
-void
 encodeStats(net::WireWriter &writer, const index::SearchStats &stats)
 {
     writer.u64(stats.lists_probed);
@@ -85,66 +61,18 @@ decodeHits(net::WireReader &reader)
     return hits;
 }
 
-void
-encodeOneResponse(net::WireWriter &writer, const NodeResponse &response)
-{
-    encodeHits(writer, response.hits);
-    encodeStats(writer, response.stats);
-}
-
-NodeResponse
-decodeOneResponse(net::WireReader &reader)
-{
-    NodeResponse response;
-    response.hits = decodeHits(reader);
-    response.stats = decodeStats(reader);
-    return response;
-}
-
-/** Trailing trace-context block marker (SearchRequest v2). */
-constexpr std::uint8_t kTraceContextFlag = 1;
-
 } // namespace
-
-std::string
-encodeSearchRequest(const SearchRequest &request)
-{
-    net::WireWriter writer;
-    encodeParams(writer, request.k, request.params, request.deadline_ms);
-    writer.floats(request.query.data(), request.query.size());
-    if (request.trace.active) {
-        // Optional trailing block: a v2 shard reads it, a v1 shard
-        // never receives it (Health-gated injection).
-        writer.u8(kTraceContextFlag);
-        writer.u64(request.trace.trace_id);
-        writer.u64(request.trace.parent_span_id);
-    }
-    return writer.take();
-}
-
-SearchRequest
-decodeSearchRequest(std::string_view payload)
-{
-    net::WireReader reader(payload);
-    SearchRequest request;
-    decodeParams(reader, request.k, request.params, request.deadline_ms);
-    request.query = reader.floats();
-    if (!reader.atEnd()) {
-        if (reader.u8() != kTraceContextFlag)
-            throw net::WireError("bad trace-context flag");
-        request.trace.active = true;
-        request.trace.trace_id = reader.u64();
-        request.trace.parent_span_id = reader.u64();
-    }
-    reader.expectEnd();
-    return request;
-}
 
 std::string
 encodeSearchBatchRequest(const SearchBatchRequest &request)
 {
     net::WireWriter writer;
-    encodeParams(writer, request.k, request.params, request.deadline_ms);
+    writer.u64(request.k);
+    writer.u64(request.params.nprobe);
+    writer.u64(request.params.ef_search);
+    writer.f64(request.params.prune_ratio);
+    writer.u64(request.params.batch_min_scan_floats);
+    writer.f64(request.deadline_ms);
     writer.u64(request.dim);
     writer.floats(request.queries.data(), request.queries.size());
     std::uint32_t active = 0;
@@ -169,7 +97,12 @@ decodeSearchBatchRequest(std::string_view payload)
 {
     net::WireReader reader(payload);
     SearchBatchRequest request;
-    decodeParams(reader, request.k, request.params, request.deadline_ms);
+    request.k = reader.u64();
+    request.params.nprobe = reader.u64();
+    request.params.ef_search = reader.u64();
+    request.params.prune_ratio = reader.f64();
+    request.params.batch_min_scan_floats = reader.u64();
+    request.deadline_ms = reader.f64();
     request.dim = reader.u64();
     request.queries = reader.floats();
     if (request.dim == 0 || request.queries.size() % request.dim != 0)
@@ -198,29 +131,14 @@ decodeSearchBatchRequest(std::string_view payload)
 }
 
 std::string
-encodeSearchResponse(const NodeResponse &response)
-{
-    net::WireWriter writer;
-    encodeOneResponse(writer, response);
-    return writer.take();
-}
-
-NodeResponse
-decodeSearchResponse(std::string_view payload)
-{
-    net::WireReader reader(payload);
-    NodeResponse response = decodeOneResponse(reader);
-    reader.expectEnd();
-    return response;
-}
-
-std::string
 encodeSearchBatchResponse(const std::vector<NodeResponse> &responses)
 {
     net::WireWriter writer;
     writer.u32(static_cast<std::uint32_t>(responses.size()));
-    for (const auto &response : responses)
-        encodeOneResponse(writer, response);
+    for (const auto &response : responses) {
+        encodeHits(writer, response.hits);
+        encodeStats(writer, response.stats);
+    }
     return writer.take();
 }
 
@@ -230,10 +148,11 @@ decodeSearchBatchResponse(std::string_view payload)
     net::WireReader reader(payload);
     std::uint32_t n = reader.u32();
     reader.needCount(n, kMinResponseWireBytes);
-    std::vector<NodeResponse> responses;
-    responses.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        responses.push_back(decodeOneResponse(reader));
+    std::vector<NodeResponse> responses(n);
+    for (auto &response : responses) {
+        response.hits = decodeHits(reader);
+        response.stats = decodeStats(reader);
+    }
     reader.expectEnd();
     return responses;
 }
@@ -285,15 +204,9 @@ encodeHealthRequest(std::uint32_t client_version)
 std::uint32_t
 decodeHealthRequest(std::string_view payload)
 {
-    // v1 clients send an empty Health payload (and v1 shards ignore the
-    // payload entirely, which is what makes sending a version safe).
-    if (payload.empty())
-        return 1;
     net::WireReader reader(payload);
     std::uint32_t version = reader.u32();
     reader.expectEnd();
-    if (version == 0)
-        throw net::WireError("health request version 0");
     return version;
 }
 
@@ -305,8 +218,7 @@ encodeHealthResponse(const HealthResponse &response)
     writer.u32(response.node_id);
     writer.u32(response.dim);
     writer.u64(response.shard_vectors);
-    if (response.has_clock)
-        writer.f64(response.trace_now_us);
+    writer.f64(response.trace_now_us);
     return writer.take();
 }
 
@@ -319,10 +231,7 @@ decodeHealthResponse(std::string_view payload)
     response.node_id = reader.u32();
     response.dim = reader.u32();
     response.shard_vectors = reader.u64();
-    if (!reader.atEnd()) {
-        response.trace_now_us = reader.f64();
-        response.has_clock = true;
-    }
+    response.trace_now_us = reader.f64();
     reader.expectEnd();
     return response;
 }

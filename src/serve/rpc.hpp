@@ -3,13 +3,13 @@
  * The broker <-> shard RPC vocabulary: message types and their binary
  * encodings over net::Frame payloads (net/wire.hpp codec).
  *
- * Four request/response pairs carry the whole serving protocol:
+ * Three request/response pairs carry the whole serving protocol:
  *
- *   Search        one query       -> hits + SearchStats
- *   SearchBatch   Q queries       -> Q x (hits + SearchStats), the wire
- *                                    twin of RetrievalNode micro-batching
+ *   SearchBatch   Q >= 1 queries  -> Q x (hits + SearchStats), the wire
+ *                                    twin of RetrievalNode micro-batching;
+ *                                    a single query is a batch of one
  *   Stats         -               -> NodeStats + queue depth + shard size
- *   Health        -               -> protocol version, dim, shard size
+ *   Health        u32 version     -> version, dim, shard size, trace clock
  *
  * plus a typed Error response (timeout / bad request / internal /
  * shutting down). Request ids live in the frame header and are echoed
@@ -20,23 +20,15 @@
  * truncated, over-long or trailing-garbage payload — a torn frame can
  * never silently decode into a shorter hit list.
  *
- * Protocol v2 (distributed tracing) extends v1 with *optional trailing*
- * fields, so every v1 payload is also a valid v2 payload:
+ * Trace context rides a SearchBatchRequest as a sparse trailing list
+ * [u32 n, n x (u32 slot, u64 trace_id, u64 parent_span_id)] of the
+ * traced members only; the list is omitted when no member is traced.
  *
- *   SearchRequest       ... v1 fields ... [u8 flag=1, u64 trace_id,
- *                                          u64 parent_span_id]
- *   SearchBatchRequest  ... v1 fields ... [u32 n, n x (u32 slot,
- *                                          u64 trace_id, u64 parent)]
- *   HealthRequest       v1: empty; v2: u32 client protocol version
- *   HealthResponse      ... v1 fields ... [f64 trace_now_us]
- *
- * Compat rule (Health-gated): the shard answers a Health request with
- * protocol_version = min(client_version, kProtocolVersion) and only
- * appends v2 fields for v2+ clients; a client only injects trace
- * context once a Health handshake has established the peer speaks v2.
- * So v2 client + v1 shard degrades to untraced (the shard never sees
- * trailing bytes it cannot parse), and v1 client + v2 shard sees an
- * exact v1 conversation.
+ * Version rule: broker and shard come from one build, so there is no
+ * negotiation. A client names kProtocolVersion in its Health request;
+ * the shard answers any other version (or an empty payload) with
+ * ErrorCode::BadRequest, and the client sends no search frame until a
+ * same-version HealthResponse has come back.
  */
 
 #pragma once
@@ -54,20 +46,15 @@ namespace hermes {
 namespace serve {
 namespace rpc {
 
-/** Bump when the wire encoding changes; negotiated via Health. */
-constexpr std::uint32_t kProtocolVersion = 2;
-
-/** Oldest peer protocol this build still interoperates with. */
-constexpr std::uint32_t kMinProtocolVersion = 1;
+/** Bump when the wire encoding changes; checked by the Health handshake. */
+constexpr std::uint32_t kProtocolVersion = 3;
 
 /** Frame types (net::Frame::type). Responses = request | 0x100. */
 enum class Type : std::uint32_t {
-    SearchRequest = 1,
     SearchBatchRequest = 2,
     StatsRequest = 3,
     HealthRequest = 4,
 
-    SearchResponse = 0x101,
     SearchBatchResponse = 0x102,
     StatsResponse = 0x103,
     HealthResponse = 0x104,
@@ -83,34 +70,18 @@ enum class ErrorCode : std::uint32_t {
     Shutdown = 4,   ///< Shard is stopping; retry elsewhere/later.
 };
 
-/** One search request (SearchRequest / per-query slice of a batch). */
-struct SearchRequest
-{
-    std::size_t k = 0;
-    index::SearchParams params;
-
-    /**
-     * Client-side deadline budget in ms; the shard bounds its wait on
-     * the node future by this (plus slack) so a dropped request cannot
-     * wedge the connection. <= 0 means no deadline (wait forever).
-     */
-    double deadline_ms = 0.0;
-
-    std::vector<float> query;
-
-    /**
-     * Propagated trace context (v2). Encoded as an optional trailing
-     * block only when trace.active; absent on the wire decodes as an
-     * inactive context, so v1 frames round-trip unchanged.
-     */
-    obs::TraceContextSnapshot trace;
-};
-
-/** A batched search: Q queries sharing (k, params). */
+/** A search: Q >= 1 queries sharing (k, params). */
 struct SearchBatchRequest
 {
     std::size_t k = 0;
     index::SearchParams params;
+
+    /**
+     * Client-side deadline budget in ms for the whole RPC; the shard
+     * bounds its wait on the node futures by this (plus slack) so a
+     * dropped request cannot wedge the connection. <= 0 means no
+     * deadline (the shard's max_wait_ms cap applies).
+     */
     double deadline_ms = 0.0;
     std::size_t dim = 0;
 
@@ -118,7 +89,7 @@ struct SearchBatchRequest
     std::vector<float> queries;
 
     /**
-     * Per-query trace contexts (v2): empty, or exactly numQueries()
+     * Per-query trace contexts: empty, or exactly numQueries()
      * entries (inactive slots for untraced members). Encoded sparsely
      * as a trailing (slot, trace_id, parent_span_id) list of the
      * active entries only; an empty list is omitted entirely.
@@ -143,21 +114,19 @@ struct StatsResponse
 /** Health reply: who am I, do we speak the same protocol. */
 struct HealthResponse
 {
-    /** min(client version, shard version) — what this conversation
-     *  will speak. A v1 client therefore sees exactly "1". */
+    /** The shard's kProtocolVersion; a client accepts only its own. */
     std::uint32_t protocol_version = kProtocolVersion;
     std::uint32_t node_id = 0;
     std::uint32_t dim = 0;
     std::uint64_t shard_vectors = 0;
 
     /**
-     * v2: the shard's TraceRecorder clock ("microseconds since its
+     * The shard's TraceRecorder clock ("microseconds since its
      * trace epoch") read while encoding this reply. The client brackets
      * the RPC on its own trace clock and derives the epoch offset
      * (error bounded by RTT/2) used to align merged traces.
      */
     double trace_now_us = 0.0;
-    bool has_clock = false;
 };
 
 /** Typed error body. */
@@ -167,14 +136,8 @@ struct ErrorBody
     std::string message;
 };
 
-std::string encodeSearchRequest(const SearchRequest &request);
-SearchRequest decodeSearchRequest(std::string_view payload);
-
 std::string encodeSearchBatchRequest(const SearchBatchRequest &request);
 SearchBatchRequest decodeSearchBatchRequest(std::string_view payload);
-
-std::string encodeSearchResponse(const NodeResponse &response);
-NodeResponse decodeSearchResponse(std::string_view payload);
 
 std::string
 encodeSearchBatchResponse(const std::vector<NodeResponse> &responses);
@@ -184,11 +147,8 @@ decodeSearchBatchResponse(std::string_view payload);
 std::string encodeStatsResponse(const StatsResponse &response);
 StatsResponse decodeStatsResponse(std::string_view payload);
 
-/** v2 Health request body (client announces its protocol version).
- *  v1 clients send an empty payload. */
+/** Health request body: the client's protocol version. */
 std::string encodeHealthRequest(std::uint32_t client_version);
-
-/** Empty payload (v1 client) decodes as version 1. */
 std::uint32_t decodeHealthRequest(std::string_view payload);
 
 std::string encodeHealthResponse(const HealthResponse &response);

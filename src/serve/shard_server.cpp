@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -212,16 +211,10 @@ ShardServer::sendError(net::Socket &socket, std::uint64_t id,
 
 bool
 ShardServer::waitForNode(std::future<NodeResponse> &future,
-                         double deadline_ms, NodeResponse &response,
-                         rpc::ErrorCode &code, std::string &message)
+                         const net::Deadline &deadline,
+                         NodeResponse &response, rpc::ErrorCode &code,
+                         std::string &message)
 {
-    // Budget: the client's own deadline plus slack, capped so a
-    // deadline-less request against a fault-dropped promise still
-    // unblocks this thread eventually.
-    double budget = deadline_ms > 0.0
-        ? deadline_ms + options_.deadline_slack_ms
-        : options_.max_wait_ms;
-    net::Deadline deadline = net::Deadline::after(budget);
     for (;;) {
         if (stopping_.load()) {
             code = rpc::ErrorCode::Shutdown;
@@ -236,8 +229,7 @@ ShardServer::waitForNode(std::future<NodeResponse> &future,
             break;
         if (deadline.expired()) {
             code = rpc::ErrorCode::Timeout;
-            message = "node wait exceeded " + std::to_string(budget) +
-                " ms";
+            message = "node wait exceeded the request deadline";
             return false;
         }
     }
@@ -263,26 +255,26 @@ ShardServer::dispatch(net::Socket &socket, const net::Frame &frame)
     }
     switch (static_cast<rpc::Type>(frame.type)) {
       case rpc::Type::HealthRequest: {
-        std::uint32_t client_version = 1;
+        std::uint32_t client_version = 0;
         try {
             client_version = rpc::decodeHealthRequest(frame.payload);
         } catch (const std::exception &e) {
             return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
                              e.what());
         }
+        if (client_version != rpc::kProtocolVersion) {
+            return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
+                             "protocol version " +
+                                 std::to_string(client_version) +
+                                 " != shard version " +
+                                 std::to_string(rpc::kProtocolVersion));
+        }
         rpc::HealthResponse health;
-        // Negotiate down to the client: a v1 client sees an exact v1
-        // reply (version 1, no trailing clock field).
-        health.protocol_version =
-            std::min(client_version, rpc::kProtocolVersion);
         health.node_id = static_cast<std::uint32_t>(options_.node.node_id);
         health.dim = static_cast<std::uint32_t>(shard_.dim());
         health.shard_vectors = shard_.size();
-        if (health.protocol_version >= 2) {
-            health.has_clock = true;
-            health.trace_now_us = obs::TraceRecorder::instance().toMicros(
-                obs::TraceRecorder::Clock::now());
-        }
+        health.trace_now_us = obs::TraceRecorder::instance().toMicros(
+            obs::TraceRecorder::Clock::now());
         return sendReply(socket, rpc::Type::HealthResponse, frame.id,
                          rpc::encodeHealthResponse(health));
       }
@@ -294,113 +286,94 @@ ShardServer::dispatch(net::Socket &socket, const net::Frame &frame)
         return sendReply(socket, rpc::Type::StatsResponse, frame.id,
                          rpc::encodeStatsResponse(stats));
       }
-      case rpc::Type::SearchRequest: {
-        rpc::SearchRequest request;
-        try {
-            request = rpc::decodeSearchRequest(frame.payload);
-        } catch (const std::exception &e) {
-            // std::exception, not just WireError: a hostile length
-            // prefix that slips past validation must surface as a
-            // BadRequest reply, never escape the connection thread.
-            return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
-                             e.what());
-        }
-        if (request.query.size() != shard_.dim()) {
-            return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
-                             "query dim " +
-                                 std::to_string(request.query.size()) +
-                                 " != shard dim " +
-                                 std::to_string(shard_.dim()));
-        }
-        // Adopt the propagated trace context for the whole shard-side
-        // handling, so node queue-wait/exec spans (and their ivf
-        // children) chain under the broker-side rpc.search span.
-        obs::TraceContext adopt(gateRemoteContext(request.trace));
-        std::optional<obs::ScopedSpan> span;
-        if (obs::traceActive()) {
-            span.emplace("shard.search");
-            span->arg("cluster",
-                      static_cast<std::uint64_t>(options_.node.node_id));
-        }
-        auto future = node_->submit(
-            vecstore::VecView(request.query.data(), request.query.size()),
-            request.k, request.params);
-        NodeResponse response;
-        rpc::ErrorCode code;
-        std::string message;
-        if (!waitForNode(future, request.deadline_ms, response, code,
-                         message))
-            return sendError(socket, frame.id, code, message);
-        return sendReply(socket, rpc::Type::SearchResponse, frame.id,
-                         rpc::encodeSearchResponse(response));
-      }
-      case rpc::Type::SearchBatchRequest: {
-        rpc::SearchBatchRequest request;
-        try {
-            request = rpc::decodeSearchBatchRequest(frame.payload);
-        } catch (const std::exception &e) {
-            return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
-                             e.what());
-        }
-        if (request.dim != shard_.dim()) {
-            return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
-                             "batch dim " + std::to_string(request.dim) +
-                                 " != shard dim " +
-                                 std::to_string(shard_.dim()));
-        }
-        // Back-to-back node submissions: the queue drain groups them
-        // into one list-major searchBatch (same k/params), so one
-        // batch RPC rides the same micro-batching as concurrent
-        // in-process callers.
-        const std::size_t q = request.numQueries();
-        auto batch_start = obs::TraceRecorder::Clock::now();
-        obs::TraceContextSnapshot batch_ctx; // first traced member
-        std::vector<std::future<NodeResponse>> futures;
-        futures.reserve(q);
-        for (std::size_t i = 0; i < q; ++i) {
-            // Per-query adoption: each member keeps its own trace
-            // identity (a coalesced RPC can carry several traces).
-            obs::TraceContextSnapshot ctx = i < request.traces.size()
-                ? gateRemoteContext(request.traces[i])
-                : obs::TraceContextSnapshot{};
-            if (ctx.active && !batch_ctx.active)
-                batch_ctx = ctx;
-            obs::TraceContext adopt(ctx);
-            futures.push_back(node_->submit(
-                vecstore::VecView(request.queries.data() + i * request.dim,
-                                  request.dim),
-                request.k, request.params));
-        }
-        std::vector<NodeResponse> responses(q);
-        for (std::size_t i = 0; i < q; ++i) {
-            rpc::ErrorCode code;
-            std::string message;
-            if (!waitForNode(futures[i], request.deadline_ms, responses[i],
-                             code, message)) {
-                // One lost slice fails the whole batch; the client
-                // retries per-query so a poisoned query only fails
-                // itself (mirrors the node's batch-throw fallback).
-                return sendError(socket, frame.id, code, message);
-            }
-        }
-        if (batch_ctx.active) {
-            // Retroactive batch-handling span under the first traced
-            // member (one span per RPC, not per member).
-            obs::TraceRecorder::instance().addSpan(
-                "shard.search_batch", batch_start,
-                obs::TraceRecorder::Clock::now(),
-                {{"cluster", std::to_string(options_.node.node_id), true},
-                 {"requests", std::to_string(q), true}},
-                batch_ctx);
-        }
-        return sendReply(socket, rpc::Type::SearchBatchResponse, frame.id,
-                         rpc::encodeSearchBatchResponse(responses));
-      }
+      case rpc::Type::SearchBatchRequest:
+        return handleSearch(socket, frame);
       default:
         return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
                          "unknown frame type " +
                              std::to_string(frame.type));
     }
+}
+
+bool
+ShardServer::handleSearch(net::Socket &socket, const net::Frame &frame)
+{
+    const auto arrived = obs::TraceRecorder::Clock::now();
+    rpc::SearchBatchRequest request;
+    try {
+        request = rpc::decodeSearchBatchRequest(frame.payload);
+    } catch (const std::exception &e) {
+        // std::exception, not just WireError: a hostile length prefix
+        // that slips past validation must surface as a BadRequest
+        // reply, never escape the connection thread.
+        return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
+                         e.what());
+    }
+    // One wait budget for the whole RPC, anchored as soon as the frame
+    // is decoded: every member's wait draws on it, so a q-query batch
+    // is answered within one budget, not q. The client's deadline plus
+    // slack, capped so a deadline-less request against a fault-dropped
+    // promise still unblocks this thread eventually.
+    const net::Deadline deadline = net::Deadline::after(
+        request.deadline_ms > 0.0
+            ? request.deadline_ms + options_.deadline_slack_ms
+            : options_.max_wait_ms);
+    if (request.dim != shard_.dim()) {
+        return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
+                         "query dim " + std::to_string(request.dim) +
+                             " != shard dim " +
+                             std::to_string(shard_.dim()));
+    }
+    // Back-to-back node submissions: the queue drain groups them into
+    // one list-major searchBatch (same k/params), so one RPC rides the
+    // same micro-batching as concurrent in-process callers.
+    //
+    // One shard.search span per RPC, under the first traced member.
+    // Members of that trace parent their node.* spans to it; members of
+    // other traces (a coalesced RPC can carry several) keep their own
+    // parent. The span id is minted up front so children can name it.
+    const std::size_t q = request.numQueries();
+    obs::TraceContextSnapshot span_ctx;
+    std::uint64_t span_id = 0;
+    std::vector<std::future<NodeResponse>> futures;
+    futures.reserve(q);
+    for (std::size_t i = 0; i < q; ++i) {
+        obs::TraceContextSnapshot ctx = i < request.traces.size()
+            ? gateRemoteContext(request.traces[i])
+            : obs::TraceContextSnapshot{};
+        if (ctx.active && !span_ctx.active) {
+            span_ctx = ctx;
+            span_id = obs::newTraceId();
+        }
+        if (ctx.active && ctx.trace_id == span_ctx.trace_id)
+            ctx.parent_span_id = span_id;
+        obs::TraceContext adopt(ctx);
+        futures.push_back(node_->submit(
+            vecstore::VecView(request.queries.data() + i * request.dim,
+                              request.dim),
+            request.k, request.params));
+    }
+    std::vector<NodeResponse> responses(q);
+    rpc::ErrorCode code = rpc::ErrorCode::Internal;
+    std::string message;
+    bool ok = true;
+    for (std::size_t i = 0; i < q && ok; ++i) {
+        // One lost member fails the whole RPC; the client re-sends
+        // each member alone so a poisoned query only fails itself
+        // (mirrors the node's batch-throw fallback).
+        ok = waitForNode(futures[i], deadline, responses[i], code, message);
+    }
+    if (span_ctx.active) {
+        obs::TraceRecorder::instance().addSpan(
+            "shard.search", arrived, obs::TraceRecorder::Clock::now(),
+            {{"cluster", std::to_string(options_.node.node_id), true},
+             {"requests", std::to_string(q), true}},
+            span_ctx, span_id);
+    }
+    if (!ok)
+        return sendError(socket, frame.id, code, message);
+    return sendReply(socket, rpc::Type::SearchBatchResponse, frame.id,
+                     rpc::encodeSearchBatchResponse(responses));
 }
 
 } // namespace serve

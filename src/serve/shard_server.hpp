@@ -15,9 +15,12 @@
  *    ErrorCode::BadRequest; the connection survives.
  *  - A shard search that throws (real or injected fault) answers
  *    ErrorCode::Internal; the connection survives.
- *  - A node future that is not ready within the request's deadline
- *    (plus slack) answers ErrorCode::Timeout — a dropped request can
+ *  - A search whose node futures are not all ready within the
+ *    request's deadline (plus slack), counted once from the frame's
+ *    arrival, answers ErrorCode::Timeout — a dropped request can
  *    wedge neither the connection nor shutdown.
+ *  - A Health request naming another protocol version answers
+ *    ErrorCode::BadRequest.
  *  - stop() answers in-flight waits with ErrorCode::Shutdown, joins
  *    every handler, then tears down the node.
  */
@@ -132,14 +135,17 @@ class ShardServer
     /** Handle one decoded request frame; false = drop the connection. */
     bool dispatch(net::Socket &socket, const net::Frame &frame);
 
+    /** Answer one SearchBatchRequest frame (every search is one). */
+    bool handleSearch(net::Socket &socket, const net::Frame &frame);
+
     /**
-     * Wait for @p future under @p deadline_ms + slack, in slices that
-     * observe stopping_. Fills @p response / @p error; returns the
-     * error code to send, or nullopt on success.
+     * Wait for @p future until @p deadline, in slices that observe
+     * stopping_. True with @p response filled; false with the error
+     * @p code and @p message to send.
      */
-    bool waitForNode(std::future<NodeResponse> &future, double deadline_ms,
-                     NodeResponse &response, rpc::ErrorCode &code,
-                     std::string &message);
+    bool waitForNode(std::future<NodeResponse> &future,
+                     const net::Deadline &deadline, NodeResponse &response,
+                     rpc::ErrorCode &code, std::string &message);
 
     bool sendReply(net::Socket &socket, rpc::Type type, std::uint64_t id,
                    std::string_view payload);

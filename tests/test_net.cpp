@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -408,19 +409,20 @@ TEST(Net, AcceptForNonPositiveTimeoutPollsWithoutBlocking)
 // ---------------------------------------------------------------------------
 // RPC codec
 
-TEST(Rpc, SearchRequestRoundTrip)
+TEST(Rpc, SearchBatchRequestRoundTrip)
 {
-    serve::rpc::SearchRequest request;
+    serve::rpc::SearchBatchRequest request;
     request.k = 7;
     request.params.nprobe = 9;
     request.params.ef_search = 33;
     request.params.prune_ratio = 0.75;
     request.params.batch_min_scan_floats = 4096;
     request.deadline_ms = 1234.5;
-    request.query = {1.0f, -2.0f, 0.25f};
+    request.dim = 3;
+    request.queries = {1.0f, -2.0f, 0.25f};
 
-    auto decoded = serve::rpc::decodeSearchRequest(
-        serve::rpc::encodeSearchRequest(request));
+    auto decoded = serve::rpc::decodeSearchBatchRequest(
+        serve::rpc::encodeSearchBatchRequest(request));
     EXPECT_EQ(decoded.k, request.k);
     EXPECT_EQ(decoded.params.nprobe, request.params.nprobe);
     EXPECT_EQ(decoded.params.ef_search, request.params.ef_search);
@@ -428,7 +430,10 @@ TEST(Rpc, SearchRequestRoundTrip)
     EXPECT_EQ(decoded.params.batch_min_scan_floats,
               request.params.batch_min_scan_floats);
     EXPECT_EQ(decoded.deadline_ms, request.deadline_ms);
-    EXPECT_EQ(decoded.query, request.query);
+    EXPECT_EQ(decoded.dim, request.dim);
+    EXPECT_EQ(decoded.queries, request.queries);
+    EXPECT_EQ(decoded.numQueries(), 1u);
+    EXPECT_TRUE(decoded.traces.empty());
 }
 
 TEST(Rpc, ResponsesAndErrorsRoundTrip)
@@ -439,8 +444,10 @@ TEST(Rpc, ResponsesAndErrorsRoundTrip)
     response.stats.vectors_scanned = 100;
     response.stats.lists_probed = 4;
 
-    auto decoded = serve::rpc::decodeSearchResponse(
-        serve::rpc::encodeSearchResponse(response));
+    auto single = serve::rpc::decodeSearchBatchResponse(
+        serve::rpc::encodeSearchBatchResponse({response}));
+    ASSERT_EQ(single.size(), 1u);
+    const auto &decoded = single[0];
     ASSERT_EQ(decoded.hits.size(), 2u);
     EXPECT_EQ(decoded.hits[0].id, 42);
     EXPECT_EQ(decoded.hits[0].score, 0.125f);
@@ -462,16 +469,93 @@ TEST(Rpc, ResponsesAndErrorsRoundTrip)
 
 TEST(Rpc, DecodeRejectsTruncatedAndTrailingBytes)
 {
-    serve::rpc::SearchRequest request;
-    request.k = 3;
-    request.query = {1.0f, 2.0f};
-    std::string payload = serve::rpc::encodeSearchRequest(request);
+    // Every decoder of untrusted bytes, over a well-formed payload of
+    // its message: each strict prefix and one trailing byte must throw
+    // WireError, never decode into something shorter. The one allowed
+    // exception: a traced request cut exactly before its (optional)
+    // trace list is the same batch, untraced — a well-formed message.
+    using Decode = std::function<void(std::string_view)>;
+    struct Case
+    {
+        const char *name;
+        std::string payload;
+        Decode decode;
+        std::size_t untraced_prefix = 0;
+    };
 
-    EXPECT_THROW(serve::rpc::decodeSearchRequest(
-                     std::string_view(payload.data(), payload.size() - 1)),
-                 net::WireError);
-    EXPECT_THROW(serve::rpc::decodeSearchRequest(payload + 'x'),
-                 net::WireError);
+    serve::rpc::SearchBatchRequest one;
+    one.k = 3;
+    one.dim = 2;
+    one.queries = {1.0f, 2.0f};
+    serve::rpc::SearchBatchRequest one_traced = one;
+    one_traced.traces = {{true, 0xabull, 0xcdull}};
+    serve::rpc::SearchBatchRequest three = one;
+    three.queries = {1, 2, 3, 4, 5, 6};
+    serve::rpc::SearchBatchRequest three_traced = three;
+    three_traced.traces.resize(3);
+    three_traced.traces[1] = {true, 0x11ull, 0x22ull};
+
+    serve::NodeResponse response;
+    response.hits.push_back({42, 0.125f});
+    response.stats.vectors_scanned = 9;
+
+    serve::rpc::StatsResponse stats;
+    stats.stats.requests = 5;
+    stats.queue_depth = 2;
+
+    serve::rpc::HealthResponse health;
+    health.node_id = 1;
+    health.dim = 16;
+    health.trace_now_us = 12.5;
+
+    const Decode batch_request = [](std::string_view p) {
+        serve::rpc::decodeSearchBatchRequest(p);
+    };
+    const Decode batch_response = [](std::string_view p) {
+        serve::rpc::decodeSearchBatchResponse(p);
+    };
+    const std::vector<Case> cases = {
+        {"batch of one", serve::rpc::encodeSearchBatchRequest(one),
+         batch_request},
+        {"batch of one, traced",
+         serve::rpc::encodeSearchBatchRequest(one_traced), batch_request,
+         serve::rpc::encodeSearchBatchRequest(one).size()},
+        {"batch of three", serve::rpc::encodeSearchBatchRequest(three),
+         batch_request},
+        {"batch of three, traced",
+         serve::rpc::encodeSearchBatchRequest(three_traced), batch_request,
+         serve::rpc::encodeSearchBatchRequest(three).size()},
+        {"one response", serve::rpc::encodeSearchBatchResponse({response}),
+         batch_response},
+        {"two responses",
+         serve::rpc::encodeSearchBatchResponse({response, response}),
+         batch_response},
+        {"stats", serve::rpc::encodeStatsResponse(stats),
+         [](std::string_view p) { serve::rpc::decodeStatsResponse(p); }},
+        {"health request",
+         serve::rpc::encodeHealthRequest(serve::rpc::kProtocolVersion),
+         [](std::string_view p) { serve::rpc::decodeHealthRequest(p); }},
+        {"health response", serve::rpc::encodeHealthResponse(health),
+         [](std::string_view p) { serve::rpc::decodeHealthResponse(p); }},
+        {"error",
+         serve::rpc::encodeError(serve::rpc::ErrorCode::Internal, "boom"),
+         [](std::string_view p) { serve::rpc::decodeError(p); }},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        ASSERT_NO_THROW(c.decode(c.payload));
+        for (std::size_t len = 0; len < c.payload.size(); ++len) {
+            std::string_view prefix(c.payload.data(), len);
+            if (len == c.untraced_prefix && len > 0) {
+                EXPECT_TRUE(serve::rpc::decodeSearchBatchRequest(prefix)
+                                .traces.empty());
+                continue;
+            }
+            EXPECT_THROW(c.decode(prefix), net::WireError)
+                << "prefix of " << len << " bytes";
+        }
+        EXPECT_THROW(c.decode(c.payload + 'x'), net::WireError);
+    }
 }
 
 TEST(Rpc, DecodeBoundsClaimedCountsByPayloadSize)
@@ -481,10 +565,13 @@ TEST(Rpc, DecodeBoundsClaimedCountsByPayloadSize)
     // reserve() attempts a multi-GB allocation (bad_alloc previously
     // escaped the WireError-only catches on broker worker threads).
     net::WireWriter hits;
-    hits.u32(0xfffffffeu);
+    hits.u32(1);          // one response ...
+    hits.u32(0xfffffffeu); // ... claiming ~4e9 hits
     hits.i64(3);
     hits.f32(1.0f);
-    EXPECT_THROW(serve::rpc::decodeSearchResponse(hits.buffer()),
+    for (int i = 0; i < 4; ++i)
+        hits.u64(0); // stats, so the claim is the only lie
+    EXPECT_THROW(serve::rpc::decodeSearchBatchResponse(hits.buffer()),
                  net::WireError);
 
     net::WireWriter batch;
@@ -658,9 +745,9 @@ TEST(ShardRpc, ClientReconnectsAfterShardRestart)
 
 TEST(ShardRpc, OverflowingLengthPrefixAnsweredAsBadRequest)
 {
-    // Regression for the wire-codec overflow: a crafted SearchRequest
-    // whose float-count prefix wraps n * sizeof(float) mod 2^64 used
-    // to throw std::length_error past the WireError-only catch in
+    // Regression for the wire-codec overflow: a crafted SearchBatch
+    // request whose float-count prefix wraps n * sizeof(float) mod 2^64
+    // used to throw std::length_error past the WireError-only catch in
     // dispatch(), escaping the connection thread and std::terminate'ing
     // the shard process. It must answer BadRequest and keep serving.
     const auto &data = netServeData();
@@ -680,12 +767,13 @@ TEST(ShardRpc, OverflowingLengthPrefixAnsweredAsBadRequest)
     evil.f64(0.0);              // prune_ratio
     evil.u64(0);                // batch_min_scan_floats
     evil.f64(0.0);              // deadline_ms
+    evil.u64(shard.dim());      // dim
     evil.u64((1ull << 62) + 1); // query float count: * 4 wraps to 4
     evil.f32(0.0f);
     ASSERT_EQ(net::sendFrame(
                   client,
                   static_cast<std::uint32_t>(
-                      serve::rpc::Type::SearchRequest),
+                      serve::rpc::Type::SearchBatchRequest),
                   7, evil.buffer(), net::Deadline::after(1000.0)),
               net::IoStatus::Ok);
 
@@ -698,22 +786,72 @@ TEST(ShardRpc, OverflowingLengthPrefixAnsweredAsBadRequest)
               serve::rpc::ErrorCode::BadRequest);
 
     // Same connection, well-formed request: the shard must still serve.
-    serve::rpc::SearchRequest request;
+    serve::rpc::SearchBatchRequest request;
     request.k = 3;
     request.params.nprobe = 1;
-    request.query.assign(shard.dim(), 0.0f);
+    request.dim = shard.dim();
+    request.queries.assign(shard.dim(), 0.0f);
     ASSERT_EQ(net::sendFrame(
                   client,
                   static_cast<std::uint32_t>(
-                      serve::rpc::Type::SearchRequest),
-                  8, serve::rpc::encodeSearchRequest(request),
+                      serve::rpc::Type::SearchBatchRequest),
+                  8, serve::rpc::encodeSearchBatchRequest(request),
                   net::Deadline::after(1000.0)),
               net::IoStatus::Ok);
     ASSERT_EQ(net::recvFrame(client, reply, net::Deadline::after(5000.0)),
               net::IoStatus::Ok);
     EXPECT_EQ(static_cast<serve::rpc::Type>(reply.type),
-              serve::rpc::Type::SearchResponse);
+              serve::rpc::Type::SearchBatchResponse);
     EXPECT_EQ(reply.id, 8u);
+    server.stop();
+}
+
+TEST(ShardRpc, WaitBudgetCoversTheWholeBatch)
+{
+    // The deadline bounds the RPC, not each member: three queries that
+    // the node serves one at a time, 40 ms apart, finish at ~120 ms,
+    // past a 60 ms budget. A per-member budget would answer them all
+    // (each wait is under 60 ms); one budget for the frame must time
+    // out.
+    const auto &data = netServeData();
+    const auto &shard = data.store->clusterIndex(0);
+    serve::ShardServerOptions options;
+    options.node.max_batch = 1;
+    options.node.faults.delay_probability = 1.0;
+    options.node.faults.delay_ms = 40.0;
+    options.deadline_slack_ms = 0.0;
+    serve::ShardServer server(shard, options);
+    ASSERT_TRUE(server.start());
+
+    std::string error;
+    net::Socket client =
+        net::connectTo("127.0.0.1", server.port(), 1000.0, &error);
+    ASSERT_TRUE(client.valid()) << error;
+
+    serve::rpc::SearchBatchRequest request;
+    request.k = 3;
+    request.params.nprobe = 1;
+    request.deadline_ms = 60.0;
+    request.dim = shard.dim();
+    for (std::size_t q = 0; q < 3; ++q) {
+        auto row = data.queries.embeddings.row(q);
+        request.queries.insert(request.queries.end(), row.begin(),
+                               row.end());
+    }
+    ASSERT_EQ(net::sendFrame(
+                  client,
+                  static_cast<std::uint32_t>(
+                      serve::rpc::Type::SearchBatchRequest),
+                  9, serve::rpc::encodeSearchBatchRequest(request),
+                  net::Deadline::after(1000.0)),
+              net::IoStatus::Ok);
+    net::Frame reply;
+    ASSERT_EQ(net::recvFrame(client, reply, net::Deadline::after(5000.0)),
+              net::IoStatus::Ok);
+    ASSERT_EQ(static_cast<serve::rpc::Type>(reply.type),
+              serve::rpc::Type::ErrorResponse);
+    EXPECT_EQ(serve::rpc::decodeError(reply.payload).code,
+              serve::rpc::ErrorCode::Timeout);
     server.stop();
 }
 

@@ -9,8 +9,7 @@
 
 #include <filesystem>
 
-#include "../tools/tool_common.hpp"
-
+#include "core/manifest.hpp"
 #include "core/search_strategy.hpp"
 #include "util/argparse.hpp"
 #include "workload/corpus.hpp"
@@ -71,7 +70,7 @@ TEST(Manifest, SaveLoadRoundTrip)
     auto dir = std::filesystem::temp_directory_path() / "hermes_manifest";
     std::filesystem::create_directories(dir);
 
-    tools::Manifest manifest;
+    core::Manifest manifest;
     manifest.type = "clustered";
     manifest.num_clusters = 3;
     manifest.dim = 16;
@@ -79,7 +78,7 @@ TEST(Manifest, SaveLoadRoundTrip)
     manifest.cluster_files = {"a.hivf", "b.hivf", "c.hivf"};
     manifest.save(dir);
 
-    auto loaded = tools::Manifest::load(dir);
+    auto loaded = core::Manifest::load(dir);
     EXPECT_EQ(loaded.type, "clustered");
     EXPECT_EQ(loaded.num_clusters, 3u);
     EXPECT_EQ(loaded.dim, 16u);
@@ -109,7 +108,7 @@ TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
     auto dir =
         std::filesystem::temp_directory_path() / "hermes_assembly";
     std::filesystem::create_directories(dir);
-    tools::Manifest manifest;
+    core::Manifest manifest;
     manifest.num_clusters = store.numClusters();
     manifest.dim = corpus.embeddings.dim();
     corpus.embeddings.save((dir / manifest.corpus_file).string());
@@ -121,7 +120,7 @@ TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
     }
     manifest.save(dir);
 
-    auto reloaded = tools::loadStore(dir, tools::Manifest::load(dir),
+    auto reloaded = core::loadStore(dir, core::Manifest::load(dir),
                                      config);
     EXPECT_EQ(reloaded.numClusters(), store.numClusters());
     EXPECT_EQ(reloaded.totalVectors(), store.totalVectors());

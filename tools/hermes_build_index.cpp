@@ -22,9 +22,8 @@
 
 #include <sys/resource.h>
 
-#include "tool_common.hpp"
-
 #include "cluster/partitioner.hpp"
+#include "core/manifest.hpp"
 #include "index/ivf_stream_writer.hpp"
 #include "util/argparse.hpp"
 #include "util/threadpool.hpp"
@@ -93,7 +92,7 @@ main(int argc, char **argv)
                       " embeddings (", cc.num_topics, " topics)");
     }
 
-    tools::Manifest manifest;
+    core::Manifest manifest;
     manifest.type = args.get("type");
     manifest.dim = data.dim();
     manifest.codec = args.get("codec");

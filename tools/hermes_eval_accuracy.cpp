@@ -9,8 +9,7 @@
 
 #include <filesystem>
 
-#include "tool_common.hpp"
-
+#include "core/manifest.hpp"
 #include "core/search_strategy.hpp"
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
@@ -58,7 +57,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     std::filesystem::path dir(args.get("index"));
-    auto manifest = tools::Manifest::load(dir);
+    auto manifest = core::Manifest::load(dir);
 
     core::HermesConfig config;
     config.sample_nprobe =
@@ -66,8 +65,8 @@ main(int argc, char **argv)
     config.deep_nprobe =
         static_cast<std::size_t>(args.getInt("deep-nprobe"));
     config.clusters_to_search = 1;
-    auto store = tools::loadOrFatal(
-        [&] { return tools::loadStore(dir, manifest, config); });
+    auto store = core::loadOrFatal(
+        [&] { return core::loadStore(dir, manifest, config); });
 
     auto data =
         vecstore::Matrix::load((dir / manifest.corpus_file).string());

@@ -7,7 +7,9 @@
  * traces from hermes_trace_merge. Ancestry is reconstructed from the
  * span identity each event carries (span_id/parent_span_id), so a
  * merged trace folds across processes: broker.query;rpc.search;
- * shard.search;node.search. Weights are self-time microseconds.
+ * shard.search;node.search (one span name per layer, whether the RPC
+ * carried one query or a coalesced batch). Weights are self-time
+ * microseconds.
  *
  * Usage:
  *   hermes_flame --trace=FILE [--trace=FILE]...

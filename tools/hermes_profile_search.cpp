@@ -9,8 +9,7 @@
 
 #include <filesystem>
 
-#include "tool_common.hpp"
-
+#include "core/manifest.hpp"
 #include "core/search_strategy.hpp"
 #include "obs/exporter.hpp"
 #include "obs/obs.hpp"
@@ -84,7 +83,7 @@ main(int argc, char **argv)
     }
 
     std::filesystem::path dir(args.get("index"));
-    auto manifest = tools::Manifest::load(dir);
+    auto manifest = core::Manifest::load(dir);
 
     core::HermesConfig config;
     config.sample_nprobe =
@@ -94,8 +93,8 @@ main(int argc, char **argv)
     config.clusters_to_search = std::min<std::size_t>(
         static_cast<std::size_t>(args.getInt("clusters-to-search")),
         manifest.num_clusters);
-    auto store = tools::loadOrFatal(
-        [&] { return tools::loadStore(dir, manifest, config); });
+    auto store = core::loadOrFatal(
+        [&] { return core::loadStore(dir, manifest, config); });
 
     auto data =
         vecstore::Matrix::load((dir / manifest.corpus_file).string());

@@ -50,8 +50,8 @@
  * /perf route reports per-phase scan counters and measured energy.
  *
  * Tracing: --trace-sample=N (or HERMES_TRACE_SAMPLE) enables the span
- * recorder before the server starts, so remote trace contexts adopted
- * from a v2 broker are recorded from the first request. --trace-out
+ * recorder before the server starts, so trace contexts a broker sends
+ * along with its searches are recorded from the first request. --trace-out
  * (or HERMES_TRACE_OUT) writes the dump — tagged with this shard's
  * cluster id so hermes_trace_merge can clock-align it — on the
  * SIGINT/SIGTERM drain path; --metrics-json (or HERMES_METRICS_JSON)
