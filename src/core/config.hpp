@@ -61,8 +61,10 @@ struct HermesConfig
     /**
      * Adaptive cluster pruning (extension; SPANN-style, paper §7): when
      * positive, the deep search visits only the ranked clusters whose
-     * sampled best distance is within (1 + adaptive_epsilon) x the best
-     * cluster's sampled distance, never more than clusters_to_search.
+     * sampled best score is at most best + adaptive_epsilon x |best|
+     * (core::adaptivePruneBound; for non-negative L2 scores this is the
+     * classic (1 + adaptive_epsilon) x best), never more than
+     * clusters_to_search and never fewer than one.
      * Saves work on easy queries whose relevant documents concentrate in
      * one or two clusters. 0 disables (paper behaviour: always search
      * exactly clusters_to_search).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
@@ -10,6 +11,80 @@
 
 namespace hermes {
 namespace core {
+
+namespace {
+
+/**
+ * Deep-search @p clusters (in order) at @p nprobe: records each one in
+ * result.deep_clusters, its work in result.deep_stats (one slot per
+ * cluster of the store) and result.total, and returns the per-cluster
+ * hit lists for the caller to merge.
+ */
+std::vector<vecstore::HitList>
+deepSearch(const DistributedStore &store, vecstore::VecView query,
+           std::size_t k, std::size_t nprobe,
+           const std::vector<std::uint32_t> &clusters, QueryResult &result)
+{
+    index::SearchParams params;
+    params.nprobe = nprobe;
+    result.deep_stats.resize(store.numClusters());
+    std::vector<vecstore::HitList> partials;
+    partials.reserve(clusters.size());
+    for (std::uint32_t c : clusters) {
+        partials.push_back(store.clusterIndex(c).search(
+            query, k, params, &result.deep_stats[c]));
+        result.deep_clusters.push_back(c);
+        result.total.merge(result.deep_stats[c]);
+    }
+    return partials;
+}
+
+} // namespace
+
+std::vector<std::uint32_t>
+chooseDeepClusters(const std::vector<std::optional<vecstore::HitList>>
+                       &sampled,
+                   std::size_t clusters_to_search, double epsilon)
+{
+    std::vector<std::pair<float, std::uint32_t>> ranked;
+    ranked.reserve(sampled.size());
+    for (std::size_t c = 0; c < sampled.size(); ++c) {
+        if (!sampled[c])
+            continue;
+        float best = sampled[c]->empty() ? std::numeric_limits<float>::max()
+                                         : sampled[c]->front().score;
+        ranked.emplace_back(best, static_cast<std::uint32_t>(c));
+    }
+    std::sort(ranked.begin(), ranked.end());
+
+    if (ranked.empty()) {
+        // Every sampling probe was lost. Best effort: deep-search the
+        // configured number of clusters in id order anyway — some may
+        // answer deep requests even after a lost sample.
+        for (std::size_t c = 0;
+             c < std::min(clusters_to_search, sampled.size()); ++c) {
+            ranked.emplace_back(std::numeric_limits<float>::max(),
+                                static_cast<std::uint32_t>(c));
+        }
+    }
+
+    // Adaptive pruning (extension; see HermesConfig::adaptive_epsilon):
+    // clusters far from the best sampled score are skipped.
+    std::size_t deep = std::min(clusters_to_search, ranked.size());
+    if (epsilon > 0.0 && !ranked.empty()) {
+        float bound = adaptivePruneBound(ranked.front().first, epsilon);
+        std::size_t keep = 0;
+        while (keep < deep && ranked[keep].first <= bound)
+            ++keep;
+        deep = std::max<std::size_t>(keep, 1);
+    }
+
+    std::vector<std::uint32_t> chosen;
+    chosen.reserve(deep);
+    for (std::size_t i = 0; i < deep; ++i)
+        chosen.push_back(ranked[i].second);
+    return chosen;
+}
 
 workload::ClusterTrace
 SearchStrategy::traceBatch(const vecstore::Matrix &queries, std::size_t k,
@@ -77,23 +152,13 @@ NaiveSplitSearch::NaiveSplitSearch(const DistributedStore &store)
 QueryResult
 NaiveSplitSearch::search(vecstore::VecView query, std::size_t k) const
 {
-    const auto &config = store_.config();
     QueryResult result;
-    const std::size_t n = store_.numClusters();
-    result.deep_stats.resize(n);
-    result.deep_clusters.reserve(n);
-
-    std::vector<vecstore::HitList> partials;
-    partials.reserve(n);
-    index::SearchParams params;
-    params.nprobe = config.deep_nprobe;
-    for (std::size_t c = 0; c < n; ++c) {
-        partials.push_back(store_.clusterIndex(c).search(
-            query, k, params, &result.deep_stats[c]));
-        result.deep_clusters.push_back(static_cast<std::uint32_t>(c));
-        result.total.merge(result.deep_stats[c]);
-    }
-    result.hits = vecstore::mergeHitLists(partials, k);
+    std::vector<std::uint32_t> all(store_.numClusters());
+    std::iota(all.begin(), all.end(), 0u);
+    result.hits = vecstore::mergeHitLists(
+        deepSearch(store_, query, k, store_.config().deep_nprobe, all,
+                   result),
+        k);
     return result;
 }
 
@@ -115,10 +180,7 @@ CentroidRouting::CentroidRouting(const DistributedStore &store,
 QueryResult
 CentroidRouting::search(vecstore::VecView query, std::size_t k) const
 {
-    const auto &config = store_.config();
     QueryResult result;
-    result.deep_stats.resize(store_.numClusters());
-
     auto ranked = cluster::nearestCentroids(query, store_.centroids(),
                                             clusters_to_search_);
     // Centroid comparisons are counted as sampling-phase work: one
@@ -129,16 +191,10 @@ CentroidRouting::search(vecstore::VecView query, std::size_t k) const
         result.total.distance_computations += 1;
     }
 
-    std::vector<vecstore::HitList> partials;
-    index::SearchParams params;
-    params.nprobe = config.deep_nprobe;
-    for (auto c : ranked) {
-        partials.push_back(store_.clusterIndex(c).search(
-            query, k, params, &result.deep_stats[c]));
-        result.deep_clusters.push_back(c);
-        result.total.merge(result.deep_stats[c]);
-    }
-    result.hits = vecstore::mergeHitLists(partials, k);
+    result.hits = vecstore::mergeHitLists(
+        deepSearch(store_, query, k, store_.config().deep_nprobe, ranked,
+                   result),
+        k);
     return result;
 }
 
@@ -164,36 +220,6 @@ HermesSearch::HermesSearch(const DistributedStore &store,
                   "clusters_to_search exceeds cluster count");
 }
 
-std::vector<std::pair<float, std::uint32_t>>
-HermesSearch::rankClustersBySampling(
-    vecstore::VecView query,
-    std::vector<index::SearchStats> &sample_stats) const
-{
-    const auto &config = store_.config();
-    const std::size_t n = store_.numClusters();
-    sample_stats.resize(n);
-
-    // Document sampling (paper §4.2): retrieve sample_k documents from
-    // every cluster with a cheap low-nProbe search and score the cluster
-    // by its best sampled document. Unlike centroid routing, this probes
-    // actual documents, so clusters whose centroid is mediocre but which
-    // contain a pocket of highly relevant documents still rank high.
-    index::SearchParams params;
-    params.nprobe = sample_nprobe_;
-
-    std::vector<std::pair<float, std::uint32_t>> scored;
-    scored.reserve(n);
-    for (std::size_t c = 0; c < n; ++c) {
-        auto hits = store_.clusterIndex(c).search(query, config.sample_k,
-                                                  params, &sample_stats[c]);
-        float best = hits.empty() ? std::numeric_limits<float>::max()
-                                  : hits.front().score;
-        scored.emplace_back(best, static_cast<std::uint32_t>(c));
-    }
-    std::sort(scored.begin(), scored.end());
-    return scored;
-}
-
 QueryResult
 HermesSearch::search(vecstore::VecView query, std::size_t k) const
 {
@@ -205,8 +231,6 @@ HermesSearch::search(vecstore::VecView query, std::size_t k) const
         obs::names::kCoreDeepPhaseUs);
 
     QueryResult result;
-    result.deep_stats.resize(store_.numClusters());
-
     obs::TraceContext trace_context(
         obs::TraceRecorder::instance().sampleQuery());
     obs::ScopedSpan query_span("core.search");
@@ -214,42 +238,38 @@ HermesSearch::search(vecstore::VecView query, std::size_t k) const
     util::Timer query_timer;
     util::Timer phase_timer;
 
-    // Phase 1: sample + rank.
-    std::vector<std::pair<float, std::uint32_t>> ranked;
+    // Phase 1: sample + rank. Document sampling (paper §4.2): retrieve
+    // sample_k documents from every cluster with a cheap low-nProbe
+    // search and score the cluster by its best sampled document. Unlike
+    // centroid routing, this probes actual documents, so clusters whose
+    // centroid is mediocre but which contain a pocket of highly relevant
+    // documents still rank high.
+    const std::size_t n = store_.numClusters();
+    std::vector<std::optional<vecstore::HitList>> sampled(n);
+    result.sample_stats.resize(n);
     {
         obs::ScopedSpan span("core.sample");
-        ranked = rankClustersBySampling(query, result.sample_stats);
+        index::SearchParams params;
+        params.nprobe = sample_nprobe_;
+        for (std::size_t c = 0; c < n; ++c) {
+            sampled[c] = store_.clusterIndex(c).search(
+                query, store_.config().sample_k, params,
+                &result.sample_stats[c]);
+        }
     }
+    const std::vector<std::uint32_t> deep = chooseDeepClusters(
+        sampled, clusters_to_search_, store_.config().adaptive_epsilon);
     for (const auto &stats : result.sample_stats)
         result.total.merge(stats);
     h_sample.observe(phase_timer.elapsedMicros());
 
-    // Phase 2: deep search of the top clusters. With adaptive pruning
-    // enabled, clusters far from the best sampled distance are skipped
-    // (extension; see HermesConfig::adaptive_epsilon).
+    // Phase 2: deep search of the chosen clusters.
     phase_timer.reset();
-    index::SearchParams params;
-    params.nprobe = deep_nprobe_;
     std::vector<vecstore::HitList> partials;
-    std::size_t deep = std::min(clusters_to_search_, ranked.size());
-    double epsilon = store_.config().adaptive_epsilon;
-    if (epsilon > 0.0 && !ranked.empty()) {
-        float bound = adaptivePruneBound(ranked.front().first, epsilon);
-        std::size_t keep = 0;
-        while (keep < deep && ranked[keep].first <= bound)
-            ++keep;
-        deep = std::max<std::size_t>(keep, 1);
-    }
     {
         obs::ScopedSpan span("core.deep");
-        span.arg("clusters", static_cast<std::uint64_t>(deep));
-        for (std::size_t i = 0; i < deep; ++i) {
-            std::uint32_t c = ranked[i].second;
-            partials.push_back(store_.clusterIndex(c).search(
-                query, k, params, &result.deep_stats[c]));
-            result.deep_clusters.push_back(c);
-            result.total.merge(result.deep_stats[c]);
-        }
+        span.arg("clusters", static_cast<std::uint64_t>(deep.size()));
+        partials = deepSearch(store_, query, k, deep_nprobe_, deep, result);
     }
     h_deep.observe(phase_timer.elapsedMicros());
 

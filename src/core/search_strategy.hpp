@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,23 @@ adaptivePruneBound(float best, double epsilon)
 {
     return best + static_cast<float>(epsilon) * std::fabs(best);
 }
+
+/**
+ * The deep-set choice of the hierarchical plan (paper §4.2), shared by
+ * every executor of it. @p sampled[c] holds cluster c's sampling hits
+ * (best first), or nullopt when its probe was lost.
+ *
+ * Clusters rank by their best sampled score (an empty hit list ranks
+ * last; ties go to the lower cluster id); lost clusters are never
+ * chosen. When every probe was lost the choice falls back to id order.
+ * The result is capped at @p clusters_to_search and, when @p epsilon is
+ * positive, cut to the clusters within adaptivePruneBound of the best
+ * (never fewer than one). Returns the chosen cluster ids, best first.
+ */
+std::vector<std::uint32_t>
+chooseDeepClusters(const std::vector<std::optional<vecstore::HitList>>
+                       &sampled,
+                   std::size_t clusters_to_search, double epsilon);
 
 /** Abstract retrieval strategy. */
 class SearchStrategy
@@ -151,7 +169,8 @@ class CentroidRouting : public SearchStrategy
  * Hermes hierarchical search (paper §4.2, Fig 11 left):
  *  1. sample every cluster with a cheap low-nProbe search (sample_k docs),
  *  2. rank clusters by their best sampled document's distance,
- *  3. deep-search the top clusters_to_search clusters with a high nProbe,
+ *  3. deep-search the top clusters_to_search clusters with a high nProbe
+ *     (steps 2-3 choose the deep set via chooseDeepClusters),
  *  4. merge and rerank into the final top-k.
  */
 class HermesSearch : public SearchStrategy
@@ -175,16 +194,6 @@ class HermesSearch : public SearchStrategy
                        std::size_t k) const override;
     std::string name() const override { return "hermes"; }
     std::size_t numClusters() const override { return store_.numClusters(); }
-
-    /**
-     * Rank all clusters for @p query by document sampling; returns
-     * (sampled best distance, cluster id) pairs best-first and
-     * accumulates sampling work into @p sample_stats.
-     */
-    std::vector<std::pair<float, std::uint32_t>>
-    rankClustersBySampling(vecstore::VecView query,
-                           std::vector<index::SearchStats>
-                               &sample_stats) const;
 
   private:
     const DistributedStore &store_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <thread>
 
@@ -23,6 +22,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Poll granularity of the hedged first-response-wins race. */
+constexpr std::chrono::microseconds kHedgePoll{100};
+
 std::chrono::microseconds
 microsFromDouble(double us)
 {
@@ -30,34 +32,28 @@ microsFromDouble(double us)
         std::max<std::int64_t>(1, static_cast<std::int64_t>(us)));
 }
 
+/** what() of the exception being handled (call inside a catch). */
+std::string
+currentErrorMessage()
+{
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "non-standard exception";
+    }
+}
+
 } // namespace
 
 HermesBroker::HermesBroker(const core::DistributedStore &store,
                            const BrokerConfig &config)
-    : hermes_config_(store.config()), config_(config), store_(&store),
-      h_query_latency_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerQueryLatencyUs)),
-      h_sample_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerSamplePhaseUs)),
-      h_deep_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerDeepPhaseUs)),
-      h_merge_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerMergePhaseUs)),
-      c_queries_(obs::Registry::instance().windowedCounter(
-          obs::names::kBrokerQueries)),
-      h_sample_probe_us_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerSampleProbeUs)),
-      start_time_(Clock::now())
+    : hermes_config_(store.config()), config_(config), store_(&store)
 {
     nodes_.reserve(store.numClusters());
-    for (std::size_t c = 0; c < store.numClusters(); ++c) {
-        NodeConfig node_config = config_.node;
-        if (c < config_.node_faults.size())
-            node_config.faults = config_.node_faults[c];
-        node_config.node_id = c;
-        nodes_.push_back(std::make_unique<LocalNodeClient>(
-            store.clusterIndex(c), node_config));
-    }
+    for (std::size_t c = 0; c < store.numClusters(); ++c)
+        nodes_.push_back(makeLocalNode(static_cast<std::uint32_t>(c), c));
     initTopology(ReplicaMap::identity(nodes_.size()));
     initCounters();
 
@@ -66,15 +62,8 @@ HermesBroker::HermesBroker(const core::DistributedStore &store,
     for (const auto &[cluster, total] : config_.replicate) {
         HERMES_ASSERT(cluster < store.numClusters(),
                       "replicate spec names a cluster the store lacks");
-        for (std::uint32_t r = 1; r < total; ++r) {
-            NodeConfig node_config = config_.node;
-            if (cluster < config_.node_faults.size())
-                node_config.faults = config_.node_faults[cluster];
-            node_config.node_id = nodes_.size();
-            addReplica(cluster, std::make_unique<LocalNodeClient>(
-                                    store.clusterIndex(cluster),
-                                    node_config));
-        }
+        for (std::uint32_t r = 1; r < total; ++r)
+            addReplica(cluster, makeLocalNode(cluster, nodes_.size()));
     }
 }
 
@@ -82,20 +71,7 @@ HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
                            std::vector<std::unique_ptr<NodeClient>> nodes,
                            const BrokerConfig &config)
     : hermes_config_(hermes_config), config_(config),
-      nodes_(std::move(nodes)),
-      h_query_latency_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerQueryLatencyUs)),
-      h_sample_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerSamplePhaseUs)),
-      h_deep_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerDeepPhaseUs)),
-      h_merge_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerMergePhaseUs)),
-      c_queries_(obs::Registry::instance().windowedCounter(
-          obs::names::kBrokerQueries)),
-      h_sample_probe_us_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerSampleProbeUs)),
-      start_time_(Clock::now())
+      nodes_(std::move(nodes))
 {
     HERMES_ASSERT(!nodes_.empty(), "broker needs at least one node");
     if (config_.replica_map.empty()) {
@@ -110,6 +86,17 @@ HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
         initTopology(config_.replica_map);
     }
     initCounters();
+}
+
+std::unique_ptr<NodeClient>
+HermesBroker::makeLocalNode(std::uint32_t cluster, std::size_t node_id) const
+{
+    NodeConfig node_config = config_.node;
+    if (cluster < config_.node_faults.size())
+        node_config.faults = config_.node_faults[cluster];
+    node_config.node_id = node_id;
+    return std::make_unique<LocalNodeClient>(store_->clusterIndex(cluster),
+                                             node_config);
 }
 
 void
@@ -184,14 +171,8 @@ HermesBroker::autoReplicate(const ReplicationPolicy &policy)
     std::size_t added = 0;
     for (const ReplicaPlanEntry &entry : plan) {
         for (std::uint32_t r = 0; r < entry.extras; ++r) {
-            NodeConfig node_config = config_.node;
-            if (entry.cluster < config_.node_faults.size())
-                node_config.faults = config_.node_faults[entry.cluster];
-            node_config.node_id = numNodes();
             addReplica(entry.cluster,
-                       std::make_unique<LocalNodeClient>(
-                           store_->clusterIndex(entry.cluster),
-                           node_config));
+                       makeLocalNode(entry.cluster, numNodes()));
             ++added;
         }
     }
@@ -246,53 +227,33 @@ HermesBroker::collect(std::future<NodeResponse> future,
                       const std::vector<ReplicaSlot> &slots,
                       std::size_t primary_slot, vecstore::VecView query,
                       std::size_t k, const index::SearchParams &params,
-                      std::uint64_t &timeouts,
-                      std::uint64_t &failures) const
+                      QueryTally &tally) const
 {
     NodeOutcome out;
     for (std::size_t attempt = 0;; ++attempt) {
-        if (config_.node_deadline_ms > 0.0) {
-            auto status = future.wait_for(
-                std::chrono::duration<double, std::milli>(
-                    config_.node_deadline_ms));
-            if (status != std::future_status::ready) {
-                ++timeouts;
-                obs::instantEvent(
-                    "broker.timeout",
-                    {{"attempt", std::to_string(attempt + 1), true}});
-                HERMES_WARN("node request missed its ",
-                            config_.node_deadline_ms, " ms deadline "
-                            "(attempt ", attempt + 1, ")");
-                if (attempt < config_.max_retries) {
-                    obs::instantEvent("broker.retry");
-                    const std::size_t next =
-                        (primary_slot + attempt + 1) % slots.size();
-                    if (next != primary_slot)
-                        slots[next].routed->add(1);
-                    future = slots[next].node->submit(query, k, params);
-                    continue;
-                }
+        if (config_.node_deadline_ms > 0.0 &&
+            future.wait_for(std::chrono::duration<double, std::milli>(
+                config_.node_deadline_ms)) != std::future_status::ready) {
+            ++tally.timeouts;
+            obs::instantEvent(
+                "broker.timeout",
+                {{"attempt", std::to_string(attempt + 1), true}});
+            HERMES_WARN("node request missed its ",
+                        config_.node_deadline_ms, " ms deadline "
+                        "(attempt ", attempt + 1, ")");
+        } else {
+            try {
+                out.response = future.get();
+                out.ok = true;
                 return out;
+            } catch (...) {
+                ++tally.failures;
+                obs::instantEvent(
+                    "broker.failure",
+                    {{"attempt", std::to_string(attempt + 1), true}});
+                HERMES_WARN("node request failed: ", currentErrorMessage(),
+                            " (attempt ", attempt + 1, ")");
             }
-        }
-        try {
-            out.response = future.get();
-            out.ok = true;
-            return out;
-        } catch (const std::exception &e) {
-            ++failures;
-            obs::instantEvent(
-                "broker.failure",
-                {{"attempt", std::to_string(attempt + 1), true}});
-            HERMES_WARN("node request failed: ", e.what(), " (attempt ",
-                        attempt + 1, ")");
-        } catch (...) {
-            ++failures;
-            obs::instantEvent(
-                "broker.failure",
-                {{"attempt", std::to_string(attempt + 1), true}});
-            HERMES_WARN("node request failed with a non-standard "
-                        "exception (attempt ", attempt + 1, ")");
         }
         if (attempt >= config_.max_retries)
             return out;
@@ -315,11 +276,7 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
                             Clock::time_point submitted, double trigger_us,
                             vecstore::VecView query, std::size_t k,
                             const index::SearchParams &params,
-                            std::uint64_t &timeouts,
-                            std::uint64_t &failures,
-                            std::uint64_t &hedges_issued,
-                            std::uint64_t &hedges_won,
-                            std::uint64_t &hedges_wasted) const
+                            QueryTally &tally) const
 {
     struct Lane
     {
@@ -339,7 +296,6 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
                         std::chrono::duration<double, std::milli>(
                             config_.node_deadline_ms));
     const auto hedge_at = submitted + microsFromDouble(trigger_us);
-    const auto poll = microsFromDouble(config_.hedge.poll_us);
 
     std::vector<Lane> lanes;
     lanes.reserve(2);
@@ -377,7 +333,7 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
                         true, false});
                     used[best] = true;
                     ++submits;
-                    ++hedges_issued;
+                    ++tally.hedges_issued;
                     obs::instantEvent(
                         "broker.hedge",
                         {{"node",
@@ -394,34 +350,27 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
             if (lane.dead)
                 continue;
             any_live = true;
-            auto status = lane.future.wait_for(poll);
+            auto status = lane.future.wait_for(kHedgePoll);
             if (status != std::future_status::ready)
                 continue;
             try {
                 out.response = lane.future.get();
                 out.ok = true;
                 if (lane.hedge)
-                    ++hedges_won;
+                    ++tally.hedges_won;
                 else if (hedge_pending)
-                    ++hedges_wasted;
+                    ++tally.hedges_wasted;
                 // The losing lane's future is abandoned here: both node
                 // client kinds back it with a std::promise, so the late
                 // response is dropped on the floor without blocking and
                 // any pooled connection it rode stays healthy.
                 return out;
-            } catch (const std::exception &e) {
-                ++failures;
-                lane.dead = true;
-                obs::instantEvent("broker.failure",
-                                  {{"hedged", "1", true}});
-                HERMES_WARN("probe lane failed: ", e.what());
             } catch (...) {
-                ++failures;
+                ++tally.failures;
                 lane.dead = true;
                 obs::instantEvent("broker.failure",
                                   {{"hedged", "1", true}});
-                HERMES_WARN("probe lane failed with a non-standard "
-                            "exception");
+                HERMES_WARN("probe lane failed: ", currentErrorMessage());
             }
         }
 
@@ -447,7 +396,7 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
         // clusters' collection may have consumed the budget) must still
         // be returned, never discarded as a timeout.
         if (Clock::now() >= deadline_tp) {
-            ++timeouts;
+            ++tally.timeouts;
             obs::instantEvent("broker.timeout",
                               {{"hedged", "1", true}});
             HERMES_WARN("hedged probe missed its ",
@@ -462,11 +411,7 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
                      std::vector<std::uint32_t> &deep_clusters) const
 {
     const auto &config = hermes_config_;
-    std::uint64_t timeouts = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t hedges_issued = 0;
-    std::uint64_t hedges_won = 0;
-    std::uint64_t hedges_wasted = 0;
+    QueryTally tally;
 
     // Routing works off a topology snapshot: addReplica() may grow the
     // fleet mid-query, but this query sticks to the replicas it started
@@ -530,13 +475,11 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
             query, config.sample_k, sample_params));
     }
 
-    // Rank clusters by best sampled document distance. A cluster whose
-    // sampling request was lost (timeout/failure after retry) is simply
-    // not a deep-search candidate this query.
-    std::vector<std::pair<float, std::uint32_t>> ranked;
-    std::vector<vecstore::HitList> sample_hits;
-    ranked.reserve(n);
-    sample_hits.reserve(n);
+    // Collect the sampling hits. A cluster whose probe was lost
+    // (timeout/failure after retry) stays nullopt, so the plan never
+    // picks it for deep search this query.
+    std::vector<std::optional<vecstore::HitList>> sampled(n);
+    std::size_t sampled_ok = 0;
     for (std::size_t c = 0; c < n; ++c) {
         const bool hedgeable =
             hedge_trigger_us > 0.0 && topology[c].size() > 1;
@@ -544,11 +487,10 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
             ? collectHedged(std::move(sample_futures[c]), topology[c],
                             sample_slots[c], sample_submitted[c],
                             hedge_trigger_us, query, config.sample_k,
-                            sample_params, timeouts, failures,
-                            hedges_issued, hedges_won, hedges_wasted)
+                            sample_params, tally)
             : collect(std::move(sample_futures[c]), topology[c],
                       sample_slots[c], query, config.sample_k,
-                      sample_params, timeouts, failures);
+                      sample_params, tally);
         if (!outcome.ok)
             continue;
         h_sample_probe_us_.observe(
@@ -556,42 +498,20 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
                 Clock::now() - sample_submitted[c]).count());
         cluster_counters_[c].hits_returned.add(
             outcome.response.hits.size());
-        float best = outcome.response.hits.empty()
-            ? std::numeric_limits<float>::max()
-            : outcome.response.hits.front().score;
-        ranked.emplace_back(best, static_cast<std::uint32_t>(c));
-        sample_hits.push_back(std::move(outcome.response.hits));
+        sampled[c] = std::move(outcome.response.hits);
+        ++sampled_ok;
     }
-    std::sort(ranked.begin(), ranked.end());
+    // Rank, fall back and prune exactly as core::HermesSearch does.
+    deep_clusters = core::chooseDeepClusters(
+        sampled, config.clusters_to_search, config.adaptive_epsilon);
     sample_span->arg("clusters_sampled",
-                     static_cast<std::uint64_t>(ranked.size()));
+                     static_cast<std::uint64_t>(sampled_ok));
     sample_perf.reset();
     sample_span.reset();
     h_sample_phase_.observe(phase_timer.elapsedMicros());
 
-    if (ranked.empty()) {
-        // Every node lost its sampling request. Best effort: deep-search
-        // the configured number of clusters in id order anyway — some may
-        // answer deep requests even after a lost sample.
-        for (std::size_t c = 0;
-             c < std::min(config.clusters_to_search, n); ++c) {
-            ranked.emplace_back(std::numeric_limits<float>::max(),
-                                static_cast<std::uint32_t>(c));
-        }
-    }
-
-    // Phase 2: deep-search the top clusters (with optional adaptive
-    // pruning, matching core::HermesSearch semantics).
-    std::size_t deep = std::min(config.clusters_to_search, ranked.size());
-    if (config.adaptive_epsilon > 0.0 && !ranked.empty()) {
-        float bound = core::adaptivePruneBound(ranked.front().first,
-                                               config.adaptive_epsilon);
-        std::size_t keep = 0;
-        while (keep < deep && ranked[keep].first <= bound)
-            ++keep;
-        deep = std::max<std::size_t>(keep, 1);
-    }
-
+    // Phase 2: deep-search the chosen clusters.
+    const std::size_t deep = deep_clusters.size();
     phase_timer.reset();
     std::optional<obs::ScopedSpan> deep_span;
     deep_span.emplace("broker.deep");
@@ -602,10 +522,7 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     deep_params.nprobe = config.deep_nprobe;
     std::vector<std::future<NodeResponse>> deep_futures;
     std::vector<std::size_t> deep_slots;
-    deep_clusters.clear();
-    for (std::size_t i = 0; i < deep; ++i) {
-        std::uint32_t c = ranked[i].second;
-        deep_clusters.push_back(c);
+    for (std::uint32_t c : deep_clusters) {
         const std::size_t slot = pickSlot(topology[c]);
         deep_slots.push_back(slot);
         topology[c][slot].routed->add(1);
@@ -621,7 +538,7 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
         auto outcome =
             collect(std::move(deep_futures[i]),
                     topology[deep_clusters[i]], deep_slots[i], query, k,
-                    deep_params, timeouts, failures);
+                    deep_params, tally);
         if (outcome.ok) {
             cluster_counters_[deep_clusters[i]].hits_returned.add(
                 outcome.response.hits.size());
@@ -640,13 +557,18 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     // queries never take this path, preserving bit-parity with
     // core::HermesSearch.
     if (deep_ok < deep) {
-        for (auto &hits : sample_hits)
-            partials.push_back(std::move(hits));
+        for (auto &hits : sampled) {
+            if (hits)
+                partials.push_back(std::move(*hits));
+        }
     }
-    bool degraded = timeouts > 0 || failures > 0;
+    // Degraded means some probe's outcome was lost. A probe that
+    // recovered on retry, failover or hedge still counts in timeouts /
+    // failures, but its answer is whole.
+    const bool degraded = sampled_ok < n || deep_ok < deep;
     if (degraded) {
-        HERMES_DEBUG("degraded query: ", timeouts, " timeouts, ",
-                     failures, " failures across ", deep,
+        HERMES_DEBUG("degraded query: ", tally.timeouts, " timeouts, ",
+                     tally.failures, " failures across ", deep,
                      " deep clusters");
     }
 
@@ -654,13 +576,13 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
         std::unique_lock<std::mutex> lock(stats_mutex_);
         ++queries_;
         deep_requests_ += deep;
-        timeouts_ += timeouts;
-        failures_ += failures;
+        timeouts_ += tally.timeouts;
+        failures_ += tally.failures;
         if (degraded)
             ++degraded_queries_;
-        hedges_issued_ += hedges_issued;
-        hedges_won_ += hedges_won;
-        hedges_wasted_ += hedges_wasted;
+        hedges_issued_ += tally.hedges_issued;
+        hedges_won_ += tally.hedges_won;
+        hedges_wasted_ += tally.hedges_wasted;
     }
 
     // Mirror the lifetime counters into the exportable registry. The
@@ -685,18 +607,18 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
                 obs::names::kBrokerHedgesWasted);
         c_queries_.add(1);
         c_deep.add(deep);
-        if (timeouts)
-            c_timeouts.add(timeouts);
-        if (failures)
-            c_failures.add(failures);
+        if (tally.timeouts)
+            c_timeouts.add(tally.timeouts);
+        if (tally.failures)
+            c_failures.add(tally.failures);
         if (degraded)
             c_degraded.add(1);
-        if (hedges_issued)
-            c_hedges_issued.add(hedges_issued);
-        if (hedges_won)
-            c_hedges_won.add(hedges_won);
-        if (hedges_wasted)
-            c_hedges_wasted.add(hedges_wasted);
+        if (tally.hedges_issued)
+            c_hedges_issued.add(tally.hedges_issued);
+        if (tally.hedges_won)
+            c_hedges_won.add(tally.hedges_won);
+        if (tally.hedges_wasted)
+            c_hedges_wasted.add(tally.hedges_wasted);
     }
 
     phase_timer.reset();
@@ -780,11 +702,9 @@ HermesBroker::loadReport(std::size_t window_s) const
     // energy the worker accrued per busy interval (Fig 18 shape: joules
     // per query fall as load rises because the idle floor amortizes).
     // A replicated cluster pays the idle floor once per replica.
-    const sim::CpuProfile &cpu = sim::cpuProfile(config_.node.cpu_model);
-    const double idle_joules = config_.node.model_energy
-        ? report.uptime_seconds * cpu.idle_watts /
-            static_cast<double>(cpu.cores)
-        : 0.0;
+    const sim::CpuProfile &cpu = sim::cpuProfile(kEnergyCpuModel);
+    const double idle_joules = report.uptime_seconds * cpu.idle_watts /
+        static_cast<double>(cpu.cores);
 
     Topology topology;
     {

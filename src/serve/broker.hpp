@@ -29,14 +29,20 @@
  * immutable index, so routing and hedging cannot change results —
  * unreplicated brokers take the exact pre-replication code path.
  *
+ * The plan itself — rank, all-lost fallback, cap and adaptive prune —
+ * is core::chooseDeepClusters, the same function core::HermesSearch
+ * runs; the broker only executes it across nodes.
+ *
  * Fault model: every node request carries a deadline and one bounded
  * retry; with replicas, retries rotate to the next replica so a dead
  * node's traffic drains to its peers. A node that times out or throws
- * is logged and counted (BrokerStats::timeouts / failures); the query
- * degrades gracefully by merging whatever partial results arrived —
- * padded with the sampling hits when a deep node was lost — and only
- * returns fewer than k hits when every deep node failed
- * (BrokerStats::degraded_queries observes all such queries).
+ * is logged and counted (BrokerStats::timeouts / failures). A probe
+ * still unanswered after its retries, failover and hedge is lost: the
+ * query degrades gracefully by merging whatever partial results arrived
+ * — padded with the sampling hits when a deep probe was lost — and only
+ * returns fewer than k hits when every deep node failed.
+ * BrokerStats::degraded_queries counts the queries that lost a probe;
+ * one whose faults all recovered is not degraded.
  */
 
 #pragma once
@@ -73,9 +79,6 @@ struct HedgeConfig
     /** Floor on the trigger so microsecond-fast fleets don't hedge
      *  every probe on scheduling jitter. */
     double min_trigger_us = 200.0;
-
-    /** Poll granularity of the first-response-wins race. */
-    double poll_us = 100.0;
 };
 
 /** Broker configuration. */
@@ -150,8 +153,10 @@ struct BrokerStats
     /** Node requests that completed with an exception. */
     std::uint64_t failures = 0;
 
-    /** Queries that lost at least one node (timeout or failure) and
-     *  were answered from partial results. */
+    /** Queries that lost at least one sample or deep probe (no answer
+     *  after every retry, failover and hedge) and were answered from
+     *  partial results. A probe that recovered counts in timeouts /
+     *  failures but does not degrade its query. */
     std::uint64_t degraded_queries = 0;
 
     /** Hedged sample probes issued / won by the duplicate / issued but
@@ -292,6 +297,17 @@ class HermesBroker
         NodeResponse response;
     };
 
+    /** One query's fault and hedge tallies, folded into the broker's
+     *  counters when the query ends. */
+    struct QueryTally
+    {
+        std::uint64_t timeouts = 0;
+        std::uint64_t failures = 0;
+        std::uint64_t hedges_issued = 0;
+        std::uint64_t hedges_won = 0;
+        std::uint64_t hedges_wasted = 0;
+    };
+
     /**
      * Power-of-two-choices: with one slot return it outright (no RNG —
      * the unreplicated path stays byte-for-byte deterministic);
@@ -306,14 +322,13 @@ class HermesBroker
      * fresh submit() up to max_retries times on timeout or exception.
      * Retries rotate over @p slots starting after @p primary_slot (a
      * single replica degenerates to resubmitting to the same node).
-     * Folds timeout/failure counts into @p timeouts / @p failures.
+     * Counts timeouts and failures into @p tally.
      */
     NodeOutcome collect(std::future<NodeResponse> future,
                         const std::vector<ReplicaSlot> &slots,
                         std::size_t primary_slot, vecstore::VecView query,
                         std::size_t k, const index::SearchParams &params,
-                        std::uint64_t &timeouts,
-                        std::uint64_t &failures) const;
+                        QueryTally &tally) const;
 
     /**
      * First-response-wins wait for a sample probe with a hedge: if the
@@ -332,11 +347,12 @@ class HermesBroker
                               double trigger_us,
                               vecstore::VecView query, std::size_t k,
                               const index::SearchParams &params,
-                              std::uint64_t &timeouts,
-                              std::uint64_t &failures,
-                              std::uint64_t &hedges_issued,
-                              std::uint64_t &hedges_won,
-                              std::uint64_t &hedges_wasted) const;
+                              QueryTally &tally) const;
+
+    /** LocalNodeClient over the store's shard of @p cluster, with the
+     *  cluster's fault override (store-backed brokers only). */
+    std::unique_ptr<NodeClient> makeLocalNode(std::uint32_t cluster,
+                                              std::size_t node_id) const;
 
     /** Build topology_/node_clusters_ from @p map (constructors). */
     void initTopology(const ReplicaMap &map);
@@ -365,12 +381,21 @@ class HermesBroker
      *  Query latency and query count carry rolling windows so the live
      *  endpoints can report last-N-seconds QPS/percentiles; the
      *  per-probe histogram feeds the hedge trigger. */
-    obs::WindowedHistogram &h_query_latency_;
-    obs::Histogram &h_sample_phase_;
-    obs::Histogram &h_deep_phase_;
-    obs::Histogram &h_merge_phase_;
-    obs::WindowedCounter &c_queries_;
-    obs::WindowedHistogram &h_sample_probe_us_;
+    obs::WindowedHistogram &h_query_latency_ =
+        obs::Registry::instance().windowedHistogram(
+            obs::names::kBrokerQueryLatencyUs);
+    obs::Histogram &h_sample_phase_ = obs::Registry::instance().histogram(
+        obs::names::kBrokerSamplePhaseUs);
+    obs::Histogram &h_deep_phase_ = obs::Registry::instance().histogram(
+        obs::names::kBrokerDeepPhaseUs);
+    obs::Histogram &h_merge_phase_ = obs::Registry::instance().histogram(
+        obs::names::kBrokerMergePhaseUs);
+    obs::WindowedCounter &c_queries_ =
+        obs::Registry::instance().windowedCounter(
+            obs::names::kBrokerQueries);
+    obs::WindowedHistogram &h_sample_probe_us_ =
+        obs::Registry::instance().windowedHistogram(
+            obs::names::kBrokerSampleProbeUs);
 
     /** Per-cluster request accounting (index = cluster id). */
     struct ClusterCounters
@@ -382,7 +407,8 @@ class HermesBroker
     std::vector<ClusterCounters> cluster_counters_;
 
     /** Construction time, for uptime/utilization in loadReport(). */
-    std::chrono::steady_clock::time_point start_time_;
+    std::chrono::steady_clock::time_point start_time_ =
+        std::chrono::steady_clock::now();
 
     mutable std::mutex stats_mutex_;
     mutable std::uint64_t queries_ = 0;

@@ -74,11 +74,9 @@ RetrievalNode::workerLoop()
     // Per-core dynamic power of the modeled CPU: what one busy worker
     // core adds on top of the package idle floor. Idle/static energy is
     // attributed from wall time at LoadReport level, not here.
-    const sim::CpuProfile &cpu = sim::cpuProfile(config_.cpu_model);
-    const double dynamic_watts_per_core = config_.model_energy
-        ? (cpu.tdp_watts - cpu.idle_watts) /
-            static_cast<double>(cpu.cores)
-        : 0.0;
+    const sim::CpuProfile &cpu = sim::cpuProfile(kEnergyCpuModel);
+    const double dynamic_watts_per_core =
+        (cpu.tdp_watts - cpu.idle_watts) / static_cast<double>(cpu.cores);
 
     for (;;) {
         std::vector<Request> batch;

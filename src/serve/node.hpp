@@ -105,18 +105,18 @@ struct NodeConfig
      * and debug logs (the broker sets it; standalone nodes default to 0).
      */
     std::size_t node_id = 0;
-
-    /**
-     * Modeled CPU for energy attribution (sim::cpuProfile). The worker
-     * accrues busy-interval dynamic energy for its one core into
-     * NodeStats::energy_joules and the `node.<c>.energy_j` gauge,
-     * reproducing the paper's per-node energy accounting (Fig 18) on
-     * live traffic; the idle/static share is added by the broker's
-     * LoadReport from wall time. Set model_energy=false to skip.
-     */
-    sim::CpuModel cpu_model = sim::CpuModel::XeonGold6448Y;
-    bool model_energy = true;
 };
+
+/**
+ * Modeled CPU for energy attribution (sim::cpuProfile). Each node worker
+ * accrues busy-interval dynamic energy for its one core into
+ * NodeStats::energy_joules and the `node.<c>.energy_j` gauge,
+ * reproducing the paper's per-node energy accounting (Fig 18) on live
+ * traffic; the idle/static share is added by the broker's LoadReport
+ * from wall time.
+ */
+inline constexpr sim::CpuModel kEnergyCpuModel =
+    sim::CpuModel::XeonGold6448Y;
 
 /** Runtime statistics of a node. */
 struct NodeStats
@@ -144,7 +144,7 @@ struct NodeStats
 
     /**
      * Modeled dynamic energy (joules) of this node's busy intervals
-     * under NodeConfig::cpu_model (0 when model_energy is off).
+     * under kEnergyCpuModel.
      */
     double energy_joules = 0.0;
 };

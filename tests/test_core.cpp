@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "core/distributed_store.hpp"
@@ -144,6 +145,60 @@ TEST(Hermes, DeepSearchesExactlyConfiguredClusters)
     std::set<std::uint32_t> unique(result.deep_clusters.begin(),
                                    result.deep_clusters.end());
     EXPECT_EQ(unique.size(), result.deep_clusters.size());
+}
+
+TEST(ChooseDeepClusters, PlanTable)
+{
+    using Sampled = std::vector<std::optional<vecstore::HitList>>;
+    // A sampled cluster whose best hit scores @p score.
+    auto best = [](float score) {
+        return std::optional<vecstore::HitList>(
+            vecstore::HitList{{1, score}, {2, score + 1.0f}});
+    };
+    const std::optional<vecstore::HitList> lost;
+    const std::optional<vecstore::HitList> empty = vecstore::HitList{};
+
+    struct Case
+    {
+        const char *name;
+        Sampled sampled;
+        std::size_t clusters_to_search;
+        double epsilon;
+        std::vector<std::uint32_t> expected;
+    };
+    const std::vector<Case> cases = {
+        {"ranks by best sampled score", {best(0.3f), best(0.1f), best(0.2f)},
+         3, 0.0, {1, 2, 0}},
+        {"caps at clusters_to_search", {best(0.3f), best(0.1f), best(0.2f)},
+         2, 0.0, {1, 2}},
+        {"lost cluster is never chosen",
+         {best(0.5f), lost, best(0.1f), best(0.3f)}, 4, 0.0, {2, 3, 0}},
+        {"empty hit list ranks last", {empty, best(9.0f), best(1.0f)}, 3,
+         0.0, {2, 1, 0}},
+        {"equal scores order by cluster id",
+         {best(1.0f), best(0.5f), best(0.5f), best(1.0f)}, 4, 0.0,
+         {1, 2, 0, 3}},
+        {"all lost falls back to id order", {lost, lost, lost, lost, lost},
+         3, 0.0, {0, 1, 2}},
+        {"all lost, cap above cluster count", {lost, lost, lost}, 5, 0.0,
+         {0, 1, 2}},
+        {"all lost is not pruned", {lost, lost, lost, lost}, 2, 0.5,
+         {0, 1}},
+        {"L2 epsilon prunes far clusters",
+         {best(1.0f), best(2.0f), best(1.05f)}, 3, 0.1, {0, 2}},
+        {"L2 epsilon keeps at least one",
+         {best(1.0f), best(1.05f), best(2.0f)}, 3, 1e-6, {0}},
+        {"IP epsilon keeps clusters near a negative best",
+         {best(-9.6f), best(-1.0f), best(-10.0f)}, 3, 0.05, {2, 0}},
+        {"IP epsilon keeps at least one",
+         {best(-9.6f), best(-1.0f), best(-10.0f)}, 3, 0.01, {2}},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(chooseDeepClusters(c.sampled, c.clusters_to_search,
+                                     c.epsilon),
+                  c.expected)
+            << c.name;
+    }
 }
 
 TEST(Hermes, SampleStatsTouchEveryCluster)

@@ -13,6 +13,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 
@@ -22,6 +24,7 @@
 #include "index/ivf_index.hpp"
 #include "serve/broker.hpp"
 #include "serve/node.hpp"
+#include "serve/node_client.hpp"
 #include "util/serialize.hpp"
 #include "util/threadpool.hpp"
 #include "workload/corpus.hpp"
@@ -353,6 +356,75 @@ TEST(HermesBrokerFaults, AllNodesFailingReturnsEmptyNotCrash)
     EXPECT_EQ(stats.queries, 1u);
     EXPECT_EQ(stats.degraded_queries, 1u);
     EXPECT_GT(stats.failures, 0u);
+}
+
+/** Delegates to a LocalNodeClient, except that the first request's
+ *  future fails. */
+class FailsFirstNodeClient final : public serve::NodeClient
+{
+  public:
+    FailsFirstNodeClient(const index::AnnIndex &shard,
+                         const serve::NodeConfig &config)
+        : inner_(shard, config)
+    {
+    }
+
+    std::future<serve::NodeResponse>
+    submit(vecstore::VecView query, std::size_t k,
+           const index::SearchParams &params) override
+    {
+        if (!failed_.exchange(true)) {
+            std::promise<serve::NodeResponse> promise;
+            promise.set_exception(std::make_exception_ptr(
+                std::runtime_error("injected first-request failure")));
+            return promise.get_future();
+        }
+        return inner_.submit(query, k, params);
+    }
+
+    serve::NodeStats stats() const override { return inner_.stats(); }
+    std::size_t queueDepth() const override { return inner_.queueDepth(); }
+    std::size_t shardSize() const override { return inner_.shardSize(); }
+
+  private:
+    serve::LocalNodeClient inner_;
+    std::atomic<bool> failed_{false};
+};
+
+TEST(HermesBrokerFaults, RecoveredRetryIsNotDegraded)
+{
+    // Node 0's first probe fails and its retry succeeds: the fault is
+    // counted, but the answer is whole, so the query is not degraded.
+    const auto &data = brokerFixture();
+    std::vector<std::unique_ptr<serve::NodeClient>> nodes;
+    for (std::size_t c = 0; c < data.store->numClusters(); ++c) {
+        serve::NodeConfig node_config;
+        node_config.node_id = c;
+        if (c == 0) {
+            nodes.push_back(std::make_unique<FailsFirstNodeClient>(
+                data.store->clusterIndex(c), node_config));
+        } else {
+            nodes.push_back(std::make_unique<serve::LocalNodeClient>(
+                data.store->clusterIndex(c), node_config));
+        }
+    }
+    serve::BrokerConfig config;
+    config.max_retries = 1;
+    serve::HermesBroker broker(data.store->config(), std::move(nodes),
+                               config);
+    core::HermesSearch reference(*data.store);
+
+    for (std::size_t q = 0; q < 4; ++q) {
+        auto hits = broker.search(data.queries.embeddings.row(q), 5);
+        auto expected =
+            reference.search(data.queries.embeddings.row(q), 5).hits;
+        EXPECT_EQ(hits, expected) << "query " << q;
+    }
+    auto stats = broker.stats();
+    EXPECT_EQ(stats.queries, 4u);
+    EXPECT_EQ(stats.failures, 1u);
+    EXPECT_EQ(stats.timeouts, 0u);
+    EXPECT_EQ(stats.degraded_queries, 0u);
 }
 
 TEST(HermesBrokerFaults, RandomFaultsEverywhereStillServeTopK)

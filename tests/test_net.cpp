@@ -580,6 +580,38 @@ TEST(Rpc, DecodeBoundsClaimedCountsByPayloadSize)
                  net::WireError);
 }
 
+TEST(Endpoint, ParseEndpointTable)
+{
+    struct Case
+    {
+        const char *spec;
+        bool ok;
+        const char *host;
+        std::uint16_t port;
+    };
+    const Case cases[] = {
+        {"h:1", true, "h", 1},
+        {":8080", true, "127.0.0.1", 8080},
+        {"8080", true, "127.0.0.1", 8080},
+        {"h:65535", true, "h", 65535},
+        {"h:0", false, "", 0},
+        {"h:65536", false, "", 0},
+        {"h:80x", false, "", 0},
+        {"h:", false, "", 0},
+        {"", false, "", 0},
+    };
+    for (const Case &c : cases) {
+        std::string host;
+        std::uint16_t port = 0;
+        ASSERT_EQ(serve::parseEndpoint(c.spec, host, port), c.ok)
+            << "'" << c.spec << "'";
+        if (c.ok) {
+            EXPECT_EQ(host, c.host) << c.spec;
+            EXPECT_EQ(port, c.port) << c.spec;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shard server + remote client
 

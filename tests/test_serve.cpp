@@ -533,10 +533,12 @@ TEST(HermesBroker, DeadReplicaFailsOverToSurvivor)
                 << "query " << q;
         }
     }
-    // The dead primary cost timeouts or hedges, never answers.
+    // The dead primary cost timeouts or hedges, never answers — and
+    // since every probe recovered on a survivor, no query is degraded.
     auto stats = broker.stats();
     EXPECT_EQ(stats.queries, 12u);
     EXPECT_GT(stats.hedges_issued + stats.timeouts, 0u);
+    EXPECT_EQ(stats.degraded_queries, 0u);
 }
 
 TEST(HermesBroker, LoadReportExposesReplicasAndHedges)

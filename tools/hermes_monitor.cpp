@@ -26,7 +26,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +33,7 @@
 #include <unistd.h>
 
 #include "obs/exporter.hpp"
+#include "serve/remote_node.hpp"
 #include "util/argparse.hpp"
 #include "util/minijson.hpp"
 
@@ -98,21 +98,6 @@ struct Sample
     double measured_package_j = 0.0;
     double measured_watts = 0.0;
 };
-
-bool
-parseEndpoint(const std::string &spec, Endpoint &out)
-{
-    std::size_t colon = spec.rfind(':');
-    if (colon == std::string::npos || colon == 0)
-        return false;
-    int port = std::atoi(spec.c_str() + colon + 1);
-    if (port <= 0 || port > 65535)
-        return false;
-    out.host = spec.substr(0, colon);
-    out.port = static_cast<std::uint16_t>(port);
-    out.label = spec;
-    return true;
-}
 
 Sample
 pollEndpoint(const Endpoint &endpoint)
@@ -368,12 +353,13 @@ main(int argc, char **argv)
                 comma = endpoints_flag.size();
             if (comma > start) {
                 Endpoint endpoint;
-                std::string spec =
+                endpoint.label =
                     endpoints_flag.substr(start, comma - start);
-                if (!parseEndpoint(spec, endpoint)) {
+                if (!serve::parseEndpoint(endpoint.label, endpoint.host,
+                                          endpoint.port)) {
                     std::fprintf(stderr,
                                  "hermes_monitor: bad endpoint %s\n",
-                                 spec.c_str());
+                                 endpoint.label.c_str());
                     return 2;
                 }
                 endpoints.push_back(std::move(endpoint));
@@ -381,18 +367,23 @@ main(int argc, char **argv)
             start = comma + 1;
         }
     } else {
-        Endpoint endpoint;
-        endpoint.host = args.get("host");
-        endpoint.port = static_cast<std::uint16_t>(args.getInt("port"));
-        endpoint.label =
-            endpoint.host + ":" + std::to_string(endpoint.port);
-        if (endpoint.port == 0) {
+        const long port = args.getInt("port");
+        if (port == 0) {
             std::fprintf(stderr,
                          "hermes_monitor: --port or --endpoints is "
                          "required (the serving binary prints its port "
                          "at startup)\n");
             return 2;
         }
+        if (port < 0 || port > 65535) {
+            std::fprintf(stderr, "hermes_monitor: bad --port %ld\n", port);
+            return 2;
+        }
+        Endpoint endpoint;
+        endpoint.host = args.get("host");
+        endpoint.port = static_cast<std::uint16_t>(port);
+        endpoint.label =
+            endpoint.host + ":" + std::to_string(endpoint.port);
         endpoints.push_back(std::move(endpoint));
     }
 
