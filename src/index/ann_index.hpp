@@ -53,6 +53,9 @@ struct SearchParams
      * tests do this to pin the batched arm).
      */
     std::size_t batch_min_scan_floats = std::size_t(1) << 18;
+
+    /** Field-wise: requests batch together only under equal params. */
+    bool operator==(const SearchParams &) const = default;
 };
 
 /**

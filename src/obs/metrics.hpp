@@ -51,6 +51,34 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
+/**
+ * One object's count of an event that also feeds a process-wide
+ * registry series (a Counter, or a WindowedCounter for a rolling rate):
+ * add() bumps both, value() reads only this object's count. Per-object
+ * stats read value(); exports read the series, which sums every object
+ * in the process. Registry::reset() zeroes only the series.
+ */
+template <typename Series = Counter>
+class OwnedCounter
+{
+  public:
+    explicit OwnedCounter(Series &series) : series_(series) {}
+
+    void add(std::uint64_t n = 1)
+    {
+        own_.add(n);
+        series_.add(n);
+    }
+
+    std::uint64_t value() const { return own_.value(); }
+
+    const Series &series() const { return series_; }
+
+  private:
+    Counter own_;
+    Series &series_;
+};
+
 /** Last-write-wins instantaneous value. */
 class Gauge
 {

@@ -55,7 +55,6 @@ HermesBroker::HermesBroker(const core::DistributedStore &store,
     for (std::size_t c = 0; c < store.numClusters(); ++c)
         nodes_.push_back(makeLocalNode(static_cast<std::uint32_t>(c), c));
     initTopology(ReplicaMap::identity(nodes_.size()));
-    initCounters();
 
     // Static replication: extra LocalNodeClients over the same immutable
     // shard indices — bit-identical replicas by construction.
@@ -85,7 +84,6 @@ HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
                       "than was passed in");
         initTopology(config_.replica_map);
     }
-    initCounters();
 }
 
 std::unique_ptr<NodeClient>
@@ -99,6 +97,16 @@ HermesBroker::makeLocalNode(std::uint32_t cluster, std::size_t node_id) const
                                              node_config);
 }
 
+HermesBroker::ClusterCounters::ClusterCounters(std::size_t cluster)
+    : sample_requests(obs::Registry::instance().counter(
+          obs::names::nodeMetric(cluster, obs::names::kNodeSampleRequests))),
+      deep_requests(obs::Registry::instance().counter(
+          obs::names::nodeMetric(cluster, obs::names::kNodeDeepRequests))),
+      hits_returned(obs::Registry::instance().counter(
+          obs::names::nodeMetric(cluster, obs::names::kNodeHitsReturned)))
+{
+}
+
 void
 HermesBroker::initTopology(const ReplicaMap &map)
 {
@@ -106,32 +114,17 @@ HermesBroker::initTopology(const ReplicaMap &map)
     topology_.resize(map.numClusters());
     node_clusters_.assign(nodes_.size(), 0);
     for (std::size_t c = 0; c < map.numClusters(); ++c) {
+        cluster_counters_.emplace_back(c);
         const std::vector<std::uint32_t> &nodes = map.replicas(c);
         topology_[c].reserve(nodes.size());
         for (std::size_t slot = 0; slot < nodes.size(); ++slot) {
             std::uint32_t node = nodes[slot];
             topology_[c].push_back(ReplicaSlot{
                 nodes_[node].get(), node,
-                &registry.counter(obs::names::routeMetric(c, slot))});
+                &route_counters_.emplace_back(
+                    registry.counter(obs::names::routeMetric(c, slot)))});
             node_clusters_[node] = static_cast<std::uint32_t>(c);
         }
-    }
-}
-
-void
-HermesBroker::initCounters()
-{
-    auto &registry = obs::Registry::instance();
-    cluster_counters_.reserve(topology_.size());
-    for (std::size_t c = 0; c < topology_.size(); ++c) {
-        cluster_counters_.push_back(ClusterCounters{
-            registry.counter(obs::names::nodeMetric(
-                c, obs::names::kNodeSampleRequests)),
-            registry.counter(obs::names::nodeMetric(
-                c, obs::names::kNodeDeepRequests)),
-            registry.counter(obs::names::nodeMetric(
-                c, obs::names::kNodeHitsReturned)),
-        });
     }
 }
 
@@ -152,7 +145,8 @@ HermesBroker::addReplica(std::uint32_t cluster,
     node_clusters_.push_back(cluster);
     topology_[cluster].push_back(ReplicaSlot{
         nodes_.back().get(), node_index,
-        &registry.counter(obs::names::routeMetric(cluster, slot))});
+        &route_counters_.emplace_back(
+            registry.counter(obs::names::routeMetric(cluster, slot)))});
     HERMES_INFORM("cluster ", cluster, " now served by ",
                 topology_[cluster].size(), " replicas (node ", node_index,
                 " attached)");
@@ -226,15 +220,14 @@ HermesBroker::NodeOutcome
 HermesBroker::collect(std::future<NodeResponse> future,
                       const std::vector<ReplicaSlot> &slots,
                       std::size_t primary_slot, vecstore::VecView query,
-                      std::size_t k, const index::SearchParams &params,
-                      QueryTally &tally) const
+                      std::size_t k, const index::SearchParams &params) const
 {
     NodeOutcome out;
     for (std::size_t attempt = 0;; ++attempt) {
         if (config_.node_deadline_ms > 0.0 &&
             future.wait_for(std::chrono::duration<double, std::milli>(
                 config_.node_deadline_ms)) != std::future_status::ready) {
-            ++tally.timeouts;
+            timeouts_.add();
             obs::instantEvent(
                 "broker.timeout",
                 {{"attempt", std::to_string(attempt + 1), true}});
@@ -247,7 +240,7 @@ HermesBroker::collect(std::future<NodeResponse> future,
                 out.ok = true;
                 return out;
             } catch (...) {
-                ++tally.failures;
+                failures_.add();
                 obs::instantEvent(
                     "broker.failure",
                     {{"attempt", std::to_string(attempt + 1), true}});
@@ -275,8 +268,7 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
                             std::size_t primary_slot,
                             Clock::time_point submitted, double trigger_us,
                             vecstore::VecView query, std::size_t k,
-                            const index::SearchParams &params,
-                            QueryTally &tally) const
+                            const index::SearchParams &params) const
 {
     struct Lane
     {
@@ -333,7 +325,7 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
                         true, false});
                     used[best] = true;
                     ++submits;
-                    ++tally.hedges_issued;
+                    hedges_issued_.add();
                     obs::instantEvent(
                         "broker.hedge",
                         {{"node",
@@ -357,16 +349,16 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
                 out.response = lane.future.get();
                 out.ok = true;
                 if (lane.hedge)
-                    ++tally.hedges_won;
+                    hedges_won_.add();
                 else if (hedge_pending)
-                    ++tally.hedges_wasted;
+                    hedges_wasted_.add();
                 // The losing lane's future is abandoned here: both node
                 // client kinds back it with a std::promise, so the late
                 // response is dropped on the floor without blocking and
                 // any pooled connection it rode stays healthy.
                 return out;
             } catch (...) {
-                ++tally.failures;
+                failures_.add();
                 lane.dead = true;
                 obs::instantEvent("broker.failure",
                                   {{"hedged", "1", true}});
@@ -396,7 +388,7 @@ HermesBroker::collectHedged(std::future<NodeResponse> future,
         // clusters' collection may have consumed the budget) must still
         // be returned, never discarded as a timeout.
         if (Clock::now() >= deadline_tp) {
-            ++tally.timeouts;
+            timeouts_.add();
             obs::instantEvent("broker.timeout",
                               {{"hedged", "1", true}});
             HERMES_WARN("hedged probe missed its ",
@@ -411,7 +403,6 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
                      std::vector<std::uint32_t> &deep_clusters) const
 {
     const auto &config = hermes_config_;
-    QueryTally tally;
 
     // Routing works off a topology snapshot: addReplica() may grow the
     // fleet mid-query, but this query sticks to the replicas it started
@@ -487,10 +478,10 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
             ? collectHedged(std::move(sample_futures[c]), topology[c],
                             sample_slots[c], sample_submitted[c],
                             hedge_trigger_us, query, config.sample_k,
-                            sample_params, tally)
+                            sample_params)
             : collect(std::move(sample_futures[c]), topology[c],
                       sample_slots[c], query, config.sample_k,
-                      sample_params, tally);
+                      sample_params);
         if (!outcome.ok)
             continue;
         h_sample_probe_us_.observe(
@@ -538,7 +529,7 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
         auto outcome =
             collect(std::move(deep_futures[i]),
                     topology[deep_clusters[i]], deep_slots[i], query, k,
-                    deep_params, tally);
+                    deep_params);
         if (outcome.ok) {
             cluster_counters_[deep_clusters[i]].hits_returned.add(
                 outcome.response.hits.size());
@@ -567,59 +558,13 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     // failures, but its answer is whole.
     const bool degraded = sampled_ok < n || deep_ok < deep;
     if (degraded) {
-        HERMES_DEBUG("degraded query: ", tally.timeouts, " timeouts, ",
-                     tally.failures, " failures across ", deep,
-                     " deep clusters");
+        HERMES_DEBUG("degraded query: lost ", n - sampled_ok, " of ", n,
+                     " sample probes and ", deep - deep_ok, " of ", deep,
+                     " deep probes");
+        degraded_queries_.add();
     }
-
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++queries_;
-        deep_requests_ += deep;
-        timeouts_ += tally.timeouts;
-        failures_ += tally.failures;
-        if (degraded)
-            ++degraded_queries_;
-        hedges_issued_ += tally.hedges_issued;
-        hedges_won_ += tally.hedges_won;
-        hedges_wasted_ += tally.hedges_wasted;
-    }
-
-    // Mirror the lifetime counters into the exportable registry. The
-    // query counter is windowed so /load can report a rolling QPS.
-    {
-        static obs::Counter &c_deep = obs::Registry::instance().counter(
-            obs::names::kBrokerDeepRequests);
-        static obs::Counter &c_timeouts = obs::Registry::instance().counter(
-            obs::names::kBrokerTimeouts);
-        static obs::Counter &c_failures = obs::Registry::instance().counter(
-            obs::names::kBrokerFailures);
-        static obs::Counter &c_degraded = obs::Registry::instance().counter(
-            obs::names::kBrokerDegradedQueries);
-        static obs::Counter &c_hedges_issued =
-            obs::Registry::instance().counter(
-                obs::names::kBrokerHedgesIssued);
-        static obs::Counter &c_hedges_won =
-            obs::Registry::instance().counter(
-                obs::names::kBrokerHedgesWon);
-        static obs::Counter &c_hedges_wasted =
-            obs::Registry::instance().counter(
-                obs::names::kBrokerHedgesWasted);
-        c_queries_.add(1);
-        c_deep.add(deep);
-        if (tally.timeouts)
-            c_timeouts.add(tally.timeouts);
-        if (tally.failures)
-            c_failures.add(tally.failures);
-        if (degraded)
-            c_degraded.add(1);
-        if (tally.hedges_issued)
-            c_hedges_issued.add(tally.hedges_issued);
-        if (tally.hedges_won)
-            c_hedges_won.add(tally.hedges_won);
-        if (tally.hedges_wasted)
-            c_hedges_wasted.add(tally.hedges_wasted);
-    }
+    queries_.add();
+    deep_requests_.add(deep);
 
     phase_timer.reset();
     vecstore::HitList merged;
@@ -642,17 +587,14 @@ BrokerStats
 HermesBroker::stats() const
 {
     BrokerStats stats;
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        stats.queries = queries_;
-        stats.deep_requests = deep_requests_;
-        stats.timeouts = timeouts_;
-        stats.failures = failures_;
-        stats.degraded_queries = degraded_queries_;
-        stats.hedges_issued = hedges_issued_;
-        stats.hedges_won = hedges_won_;
-        stats.hedges_wasted = hedges_wasted_;
-    }
+    stats.queries = queries_.value();
+    stats.deep_requests = deep_requests_.value();
+    stats.timeouts = timeouts_.value();
+    stats.failures = failures_.value();
+    stats.degraded_queries = degraded_queries_.value();
+    stats.hedges_issued = hedges_issued_.value();
+    stats.hedges_won = hedges_won_.value();
+    stats.hedges_wasted = hedges_wasted_.value();
     stats.query_latency =
         obs::LatencySummary::from(h_query_latency_.cumulative().snapshot());
     stats.sample_phase =
@@ -677,19 +619,16 @@ HermesBroker::loadReport(std::size_t window_s) const
     LoadReport report;
     report.uptime_seconds = std::chrono::duration<double>(
         Clock::now() - start_time_).count();
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        report.queries = queries_;
-        report.timeouts = timeouts_;
-        report.failures = failures_;
-        report.degraded_queries = degraded_queries_;
-        report.hedges_issued = hedges_issued_;
-        report.hedges_won = hedges_won_;
-        report.hedges_wasted = hedges_wasted_;
-    }
+    report.queries = queries_.value();
+    report.timeouts = timeouts_.value();
+    report.failures = failures_.value();
+    report.degraded_queries = degraded_queries_.value();
+    report.hedges_issued = hedges_issued_.value();
+    report.hedges_won = hedges_won_.value();
+    report.hedges_wasted = hedges_wasted_.value();
 
     report.window_seconds = static_cast<double>(window_s);
-    report.window_qps = c_queries_.ratePerSecond(window_s);
+    report.window_qps = queries_.series().ratePerSecond(window_s);
     auto window = h_query_latency_.windowSnapshot(window_s);
     report.window_p50_us = window.percentile(50.0);
     report.window_p99_us = window.percentile(99.0);

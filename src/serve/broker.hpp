@@ -48,6 +48,7 @@
 #pragma once
 
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
@@ -137,7 +138,11 @@ struct BrokerConfig
     HedgeConfig hedge;
 };
 
-/** Aggregate serving statistics. */
+/**
+ * Aggregate serving statistics. The counts are this broker's alone,
+ * from construction on; the registry series of the same names
+ * (`broker.*`) are process totals over every broker.
+ */
 struct BrokerStats
 {
     /** Queries served end-to-end. */
@@ -167,9 +172,11 @@ struct BrokerStats
 
     /**
      * Latency digests sourced from the process-wide obs histograms
-     * (`broker.query_latency_us` and friends). Note these aggregate
-     * over every broker in the process — with a single broker, which
-     * is the deployment shape, they are exactly this broker's.
+     * (`broker.query_latency_us` and friends). Unlike the counts above
+     * these aggregate over every broker in the process — with a single
+     * broker, which is the deployment shape, they are exactly this
+     * broker's. So does the hedge trigger's `broker.sample_probe_us`
+     * window: every broker in a process arms hedges off the same one.
      */
     obs::LatencySummary query_latency;   ///< end-to-end search()
     obs::LatencySummary sample_phase;    ///< sampling broadcast + collect
@@ -282,8 +289,9 @@ class HermesBroker
         /** Index into nodes_ / BrokerStats::nodes. */
         std::uint32_t node_index = 0;
 
-        /** Canonical broker.route.<cluster>.<slot> counter. */
-        obs::Counter *routed = nullptr;
+        /** This broker's broker.route.<cluster>.<slot> count; points
+         *  into route_counters_. */
+        obs::OwnedCounter<> *routed = nullptr;
     };
 
     /** Per-cluster replica slots; copied per query under a shared lock
@@ -295,17 +303,6 @@ class HermesBroker
     {
         bool ok = false;
         NodeResponse response;
-    };
-
-    /** One query's fault and hedge tallies, folded into the broker's
-     *  counters when the query ends. */
-    struct QueryTally
-    {
-        std::uint64_t timeouts = 0;
-        std::uint64_t failures = 0;
-        std::uint64_t hedges_issued = 0;
-        std::uint64_t hedges_won = 0;
-        std::uint64_t hedges_wasted = 0;
     };
 
     /**
@@ -322,13 +319,13 @@ class HermesBroker
      * fresh submit() up to max_retries times on timeout or exception.
      * Retries rotate over @p slots starting after @p primary_slot (a
      * single replica degenerates to resubmitting to the same node).
-     * Counts timeouts and failures into @p tally.
+     * Counts timeouts and failures.
      */
     NodeOutcome collect(std::future<NodeResponse> future,
                         const std::vector<ReplicaSlot> &slots,
                         std::size_t primary_slot, vecstore::VecView query,
-                        std::size_t k, const index::SearchParams &params,
-                        QueryTally &tally) const;
+                        std::size_t k,
+                        const index::SearchParams &params) const;
 
     /**
      * First-response-wins wait for a sample probe with a hedge: if the
@@ -346,19 +343,16 @@ class HermesBroker
                               std::chrono::steady_clock::time_point submitted,
                               double trigger_us,
                               vecstore::VecView query, std::size_t k,
-                              const index::SearchParams &params,
-                              QueryTally &tally) const;
+                              const index::SearchParams &params) const;
 
     /** LocalNodeClient over the store's shard of @p cluster, with the
      *  cluster's fault override (store-backed brokers only). */
     std::unique_ptr<NodeClient> makeLocalNode(std::uint32_t cluster,
                                               std::size_t node_id) const;
 
-    /** Build topology_/node_clusters_ from @p map (constructors). */
+    /** Build topology_/node_clusters_ and the per-cluster and route
+     *  counters from @p map (constructors). */
     void initTopology(const ReplicaMap &map);
-
-    /** Shared tail of both constructors (registry counters). */
-    void initCounters();
 
     core::HermesConfig hermes_config_;
     BrokerConfig config_;
@@ -372,15 +366,17 @@ class HermesBroker
     std::vector<std::unique_ptr<NodeClient>> nodes_;
 
     /** Cluster -> replica slots; guarded by topology_mutex_ together
-     *  with nodes_ and node_clusters_. */
+     *  with nodes_, node_clusters_ and route_counters_ (append-only
+     *  storage, so the slots' routed pointers stay valid in snapshots). */
     Topology topology_;
     std::vector<std::uint32_t> node_clusters_;
+    std::deque<obs::OwnedCounter<>> route_counters_;
     mutable std::shared_mutex topology_mutex_;
 
     /** Cached refs into the process-wide metrics registry (stable).
-     *  Query latency and query count carry rolling windows so the live
-     *  endpoints can report last-N-seconds QPS/percentiles; the
-     *  per-probe histogram feeds the hedge trigger. */
+     *  Query latency carries a rolling window so the live endpoints can
+     *  report last-N-seconds percentiles; the per-probe histogram feeds
+     *  the hedge trigger. */
     obs::WindowedHistogram &h_query_latency_ =
         obs::Registry::instance().windowedHistogram(
             obs::names::kBrokerQueryLatencyUs);
@@ -390,35 +386,45 @@ class HermesBroker
         obs::names::kBrokerDeepPhaseUs);
     obs::Histogram &h_merge_phase_ = obs::Registry::instance().histogram(
         obs::names::kBrokerMergePhaseUs);
-    obs::WindowedCounter &c_queries_ =
-        obs::Registry::instance().windowedCounter(
-            obs::names::kBrokerQueries);
     obs::WindowedHistogram &h_sample_probe_us_ =
         obs::Registry::instance().windowedHistogram(
             obs::names::kBrokerSampleProbeUs);
 
-    /** Per-cluster request accounting (index = cluster id). */
+    /** Per-cluster request accounting (index = cluster id), feeding
+     *  the node.<c>.* series; fixed at construction. */
     struct ClusterCounters
     {
-        obs::Counter &sample_requests;
-        obs::Counter &deep_requests;
-        obs::Counter &hits_returned;
+        explicit ClusterCounters(std::size_t cluster);
+
+        obs::OwnedCounter<> sample_requests;
+        obs::OwnedCounter<> deep_requests;
+        obs::OwnedCounter<> hits_returned;
     };
-    std::vector<ClusterCounters> cluster_counters_;
+    mutable std::deque<ClusterCounters> cluster_counters_;
 
     /** Construction time, for uptime/utilization in loadReport(). */
     std::chrono::steady_clock::time_point start_time_ =
         std::chrono::steady_clock::now();
 
-    mutable std::mutex stats_mutex_;
-    mutable std::uint64_t queries_ = 0;
-    mutable std::uint64_t deep_requests_ = 0;
-    mutable std::uint64_t timeouts_ = 0;
-    mutable std::uint64_t failures_ = 0;
-    mutable std::uint64_t degraded_queries_ = 0;
-    mutable std::uint64_t hedges_issued_ = 0;
-    mutable std::uint64_t hedges_won_ = 0;
-    mutable std::uint64_t hedges_wasted_ = 0;
+    /** This broker's BrokerStats counts, each also feeding its
+     *  broker.* series; the query series is windowed for /load's QPS. */
+    mutable obs::OwnedCounter<obs::WindowedCounter> queries_{
+        obs::Registry::instance().windowedCounter(obs::names::kBrokerQueries)};
+    mutable obs::OwnedCounter<> deep_requests_{
+        obs::Registry::instance().counter(obs::names::kBrokerDeepRequests)};
+    mutable obs::OwnedCounter<> timeouts_{
+        obs::Registry::instance().counter(obs::names::kBrokerTimeouts)};
+    mutable obs::OwnedCounter<> failures_{
+        obs::Registry::instance().counter(obs::names::kBrokerFailures)};
+    mutable obs::OwnedCounter<> degraded_queries_{
+        obs::Registry::instance().counter(
+            obs::names::kBrokerDegradedQueries)};
+    mutable obs::OwnedCounter<> hedges_issued_{
+        obs::Registry::instance().counter(obs::names::kBrokerHedgesIssued)};
+    mutable obs::OwnedCounter<> hedges_won_{
+        obs::Registry::instance().counter(obs::names::kBrokerHedgesWon)};
+    mutable obs::OwnedCounter<> hedges_wasted_{
+        obs::Registry::instance().counter(obs::names::kBrokerHedgesWasted)};
 };
 
 } // namespace serve

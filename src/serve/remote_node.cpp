@@ -73,16 +73,6 @@ RemoteNodeClient::RemoteNodeClient(RemoteNodeOptions options)
 {
     HERMES_ASSERT(options_.connections >= 1,
                   "remote node needs at least one connection");
-    auto &registry = obs::Registry::instance();
-    m_rpcs_ = &registry.counter(obs::names::kRpcRpcs);
-    m_request_bytes_ = &registry.counter(obs::names::kRpcRequestBytes);
-    m_response_bytes_ = &registry.counter(obs::names::kRpcResponseBytes);
-    m_redials_ = &registry.counter(obs::names::kRpcRedials);
-    m_transport_failures_ =
-        &registry.counter(obs::names::kRpcTransportFailures);
-    m_remote_errors_ = &registry.counter(obs::names::kRpcRemoteErrors);
-    m_round_trip_us_ = &registry.histogram(obs::names::kRpcRoundTripUs);
-    m_batch_size_ = &registry.histogram(obs::names::kRpcBatchSize);
     workers_.reserve(options_.connections);
     for (std::size_t i = 0; i < options_.connections; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -195,7 +185,7 @@ RemoteNodeClient::health(rpc::HealthResponse *out) const
         double offset = (local_t0 + local_t1) / 2.0 - decoded.trace_now_us;
         bool kept = false;
         {
-            std::unique_lock<std::mutex> lock(stats_mutex_);
+            std::unique_lock<std::mutex> lock(clock_sync_mutex_);
             // A big jump in the measured offset means the peer's trace
             // epoch moved — a restarted shard process — so the old
             // sample (however tight its RTT) refers to a clock that no
@@ -248,24 +238,27 @@ RemoteNodeClient::health(rpc::HealthResponse *out) const
 RemoteClockSync
 RemoteNodeClient::clockSync() const
 {
-    std::unique_lock<std::mutex> lock(stats_mutex_);
+    std::unique_lock<std::mutex> lock(clock_sync_mutex_);
     return clock_sync_;
 }
 
 RemoteNodeClientStats
 RemoteNodeClient::clientStats() const
 {
-    std::unique_lock<std::mutex> lock(stats_mutex_);
-    return client_stats_;
+    RemoteNodeClientStats stats;
+    stats.rpcs_sent = rpcs_sent_.value();
+    stats.batched_rpcs = batched_rpcs_.load();
+    stats.batched_requests = batched_requests_.load();
+    stats.reconnects = reconnects_.value();
+    stats.transport_failures = transport_failures_.value();
+    stats.remote_errors = remote_errors_.value();
+    return stats;
 }
 
 bool
 RemoteNodeClient::compatible(const Pending &a, const Pending &b)
 {
-    return a.k == b.k && a.params.nprobe == b.params.nprobe &&
-        a.params.ef_search == b.params.ef_search &&
-        a.params.prune_ratio == b.params.prune_ratio &&
-        a.params.batch_min_scan_floats == b.params.batch_min_scan_floats &&
+    return a.k == b.k && a.params == b.params &&
         a.query.size() == b.query.size();
 }
 
@@ -311,9 +304,9 @@ RemoteNodeClient::failGroup(std::vector<Pending> &group,
 }
 
 void
-RemoteNodeClient::countRemoteError(rpc::ErrorCode code) const
+RemoteNodeClient::countRemoteError(rpc::ErrorCode code)
 {
-    m_remote_errors_->add(1);
+    remote_errors_.add();
     // Error replies are rare; the per-code lookup can afford the
     // registry lock (unlike the cached hot-path counters above).
     obs::Registry::instance()
@@ -343,9 +336,7 @@ RemoteNodeClient::ensureConnected(net::Socket &socket)
         socket.close();
         return false;
     }
-    m_redials_->add(1);
-    std::unique_lock<std::mutex> lock(stats_mutex_);
-    ++client_stats_.reconnects;
+    reconnects_.add();
     return true;
 }
 
@@ -354,21 +345,15 @@ RemoteNodeClient::roundTrip(net::Socket &socket, rpc::Type type,
                             std::string_view payload, net::Frame &reply)
 {
     std::uint64_t id = next_id_.fetch_add(1);
-    m_rpcs_->add(1);
-    m_request_bytes_->add(net::kFrameHeaderBytes + payload.size());
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++client_stats_.rpcs_sent;
-    }
+    rpcs_sent_.add();
+    m_request_bytes_.add(net::kFrameHeaderBytes + payload.size());
     auto rpc_start = obs::TraceRecorder::Clock::now();
     net::IoStatus sent =
         net::sendFrame(socket, static_cast<std::uint32_t>(type), id,
                        payload, net::Deadline::after(kSendBudgetMs));
     if (sent != net::IoStatus::Ok) {
         socket.close();
-        m_transport_failures_->add(1);
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++client_stats_.transport_failures;
+        transport_failures_.add();
         return false;
     }
     double budget = options_.request_deadline_ms > 0.0
@@ -381,13 +366,11 @@ RemoteNodeClient::roundTrip(net::Socket &socket, rpc::Type type,
     // so the next request starts from a clean dial.
     if (got != net::IoStatus::Ok || reply.id != id) {
         socket.close();
-        m_transport_failures_->add(1);
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++client_stats_.transport_failures;
+        transport_failures_.add();
         return false;
     }
-    m_response_bytes_->add(net::kFrameHeaderBytes + reply.payload.size());
-    m_round_trip_us_->observe(
+    m_response_bytes_.add(net::kFrameHeaderBytes + reply.payload.size());
+    m_round_trip_us_.observe(
         std::chrono::duration<double, std::micro>(
             obs::TraceRecorder::Clock::now() - rpc_start)
             .count());
@@ -414,9 +397,8 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
                                pending.query.begin(), pending.query.end());
     }
     if (group.size() > 1) {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++client_stats_.batched_rpcs;
-        client_stats_.batched_requests += group.size();
+        ++batched_rpcs_;
+        batched_requests_ += group.size();
     }
 
     net::Frame reply;
@@ -456,7 +438,7 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
                     request.traces[i].parent_span_id = span->spanId();
             }
         }
-        m_batch_size_->observe(static_cast<double>(group.size()));
+        m_batch_size_.observe(static_cast<double>(group.size()));
         sent_ok = roundTrip(socket, rpc::Type::SearchBatchRequest,
                             rpc::encodeSearchBatchRequest(request), reply);
     }
@@ -493,10 +475,6 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
             body.message = e.what();
         }
         countRemoteError(body.code);
-        {
-            std::unique_lock<std::mutex> lock(stats_mutex_);
-            ++client_stats_.remote_errors;
-        }
         if (group.size() == 1) {
             failGroup(group, body.message);
             return;

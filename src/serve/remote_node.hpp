@@ -50,6 +50,7 @@
 
 #include "net/frame.hpp"
 #include "net/net.hpp"
+#include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/node_client.hpp"
@@ -86,7 +87,8 @@ struct RemoteNodeOptions
     std::size_t max_batch = 64;
 };
 
-/** Client-side counters (observability + tests). */
+/** Client-side counters of one RemoteNodeClient (observability +
+ *  tests); the rpc.* registry series sum every client in the process. */
 struct RemoteNodeClientStats
 {
     std::uint64_t rpcs_sent = 0;
@@ -198,7 +200,7 @@ class RemoteNodeClient final : public NodeClient
 
     /** Count a typed ErrorResponse in rpc.remote_errors + its
      *  per-code rpc.error.<code> series. */
-    void countRemoteError(rpc::ErrorCode code) const;
+    void countRemoteError(rpc::ErrorCode code);
 
     RemoteNodeOptions options_;
 
@@ -206,15 +208,27 @@ class RemoteNodeClient final : public NodeClient
     std::string endpoint_;
 
     /** Canonical rpc.* metric family (obs/metric_names.hpp), resolved
-     *  once — roundTrip() is on the per-RPC hot path. */
-    obs::Counter *m_rpcs_;
-    obs::Counter *m_request_bytes_;
-    obs::Counter *m_response_bytes_;
-    obs::Counter *m_redials_;
-    obs::Counter *m_transport_failures_;
-    obs::Counter *m_remote_errors_;
-    obs::Histogram *m_round_trip_us_;
-    obs::Histogram *m_batch_size_;
+     *  once — roundTrip() is on the per-RPC hot path. The owned counters
+     *  are this client's RemoteNodeClientStats; the rest are registry
+     *  only. */
+    obs::OwnedCounter<> rpcs_sent_{
+        obs::Registry::instance().counter(obs::names::kRpcRpcs)};
+    obs::OwnedCounter<> reconnects_{
+        obs::Registry::instance().counter(obs::names::kRpcRedials)};
+    obs::OwnedCounter<> transport_failures_{
+        obs::Registry::instance().counter(obs::names::kRpcTransportFailures)};
+    obs::OwnedCounter<> remote_errors_{
+        obs::Registry::instance().counter(obs::names::kRpcRemoteErrors)};
+    std::atomic<std::uint64_t> batched_rpcs_{0};
+    std::atomic<std::uint64_t> batched_requests_{0};
+    obs::Counter &m_request_bytes_ =
+        obs::Registry::instance().counter(obs::names::kRpcRequestBytes);
+    obs::Counter &m_response_bytes_ =
+        obs::Registry::instance().counter(obs::names::kRpcResponseBytes);
+    obs::Histogram &m_round_trip_us_ =
+        obs::Registry::instance().histogram(obs::names::kRpcRoundTripUs);
+    obs::Histogram &m_batch_size_ =
+        obs::Registry::instance().histogram(obs::names::kRpcBatchSize);
 
     mutable std::mutex queue_mutex_;
     std::condition_variable queue_cv_;
@@ -231,8 +245,7 @@ class RemoteNodeClient final : public NodeClient
     mutable std::atomic<std::uint64_t> next_id_{1};
     mutable std::atomic<std::size_t> shard_vectors_{0};
 
-    mutable std::mutex stats_mutex_;
-    mutable RemoteNodeClientStats client_stats_;
+    mutable std::mutex clock_sync_mutex_;
     mutable RemoteClockSync clock_sync_;
 };
 

@@ -88,8 +88,12 @@ ShardServer::stop()
 ShardServerStats
 ShardServer::stats() const
 {
-    std::unique_lock<std::mutex> lock(stats_mutex_);
-    return stats_;
+    ShardServerStats stats;
+    stats.connections_accepted = connections_accepted_.load();
+    stats.connections_reaped = connections_reaped_.load();
+    stats.requests_served = requests_served_.load();
+    stats.errors_returned = errors_returned_.load();
+    return stats;
 }
 
 NodeStats
@@ -106,10 +110,7 @@ ShardServer::acceptLoop()
         net::Socket socket = listener_.acceptFor(kAcceptTickMs);
         if (!socket.valid())
             continue;
-        {
-            std::unique_lock<std::mutex> lock(stats_mutex_);
-            ++stats_.connections_accepted;
-        }
+        ++connections_accepted_;
         ConnectionThread entry;
         entry.done = std::make_shared<std::atomic<bool>>(false);
         entry.thread = std::thread(
@@ -159,10 +160,7 @@ ShardServer::reapFinishedConnections()
         if (entry.thread.joinable())
             entry.thread.join();
     }
-    if (!finished.empty()) {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        stats_.connections_reaped += finished.size();
-    }
+    connections_reaped_ += finished.size();
 }
 
 void
@@ -201,10 +199,7 @@ bool
 ShardServer::sendError(net::Socket &socket, std::uint64_t id,
                        rpc::ErrorCode code, const std::string &message)
 {
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++stats_.errors_returned;
-    }
+    ++errors_returned_;
     return sendReply(socket, rpc::Type::ErrorResponse, id,
                      rpc::encodeError(code, message));
 }
@@ -249,10 +244,7 @@ ShardServer::waitForNode(std::future<NodeResponse> &future,
 bool
 ShardServer::dispatch(net::Socket &socket, const net::Frame &frame)
 {
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++stats_.requests_served;
-    }
+    ++requests_served_;
     switch (static_cast<rpc::Type>(frame.type)) {
       case rpc::Type::HealthRequest: {
         std::uint32_t client_version = 0;

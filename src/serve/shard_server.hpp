@@ -177,8 +177,11 @@ class ShardServer
     std::mutex threads_mutex_;
     std::vector<ConnectionThread> connection_threads_;
 
-    mutable std::mutex stats_mutex_;
-    ShardServerStats stats_;
+    /** ShardServerStats fields, bumped lock-free on the frame path. */
+    std::atomic<std::uint64_t> connections_accepted_{0};
+    std::atomic<std::uint64_t> connections_reaped_{0};
+    std::atomic<std::uint64_t> requests_served_{0};
+    std::atomic<std::uint64_t> errors_returned_{0};
 };
 
 } // namespace serve

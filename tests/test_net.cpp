@@ -1031,6 +1031,113 @@ TEST(ShardRpc, ReplicatedRemoteBrokerParityAndFailover)
 }
 
 // ---------------------------------------------------------------------------
+// Counters: one count per event
+
+TEST(CountOnce, RegistrySeriesSumEveryBrokerAndClient)
+{
+    // Each counted event is one add() that feeds both the object's own
+    // stats and the registry series of the same name, so after a reset
+    // every series is exactly the sum over the objects in the process.
+    const auto &data = netServeData();
+    auto &registry = obs::Registry::instance();
+    registry.reset();
+    namespace n = obs::names;
+
+    // Broker A: cluster 0 doubled and failing, cluster 1 dropping
+    // requests, hedges armed early. Broker B: fault-free.
+    serve::BrokerConfig faulty;
+    faulty.replicate = {{0, 2}};
+    faulty.node_faults.resize(2);
+    faulty.node_faults[0].fail_probability = 0.3;
+    faulty.node_faults[1].drop_probability = 0.1;
+    faulty.node_deadline_ms = 50.0;
+    faulty.hedge.quantile = 50.0;
+    faulty.hedge.min_samples = 4;
+    faulty.hedge.min_trigger_us = 1.0;
+    serve::HermesBroker a(*data.store, faulty);
+    serve::HermesBroker b(*data.store);
+    for (std::size_t q = 0; q < 24; ++q) {
+        a.search(data.queries.embeddings.row(q), 5);
+        b.search(data.queries.embeddings.row(q + 8), 5);
+    }
+    const serve::BrokerStats sa = a.stats();
+    const serve::BrokerStats sb = b.stats();
+    EXPECT_GT(sa.failures + sa.timeouts, 0u) << "faults never fired";
+
+    using Field = std::uint64_t serve::BrokerStats::*;
+    const std::pair<const char *, Field> broker_fields[] = {
+        {n::kBrokerQueries, &serve::BrokerStats::queries},
+        {n::kBrokerDeepRequests, &serve::BrokerStats::deep_requests},
+        {n::kBrokerTimeouts, &serve::BrokerStats::timeouts},
+        {n::kBrokerFailures, &serve::BrokerStats::failures},
+        {n::kBrokerDegradedQueries, &serve::BrokerStats::degraded_queries},
+        {n::kBrokerHedgesIssued, &serve::BrokerStats::hedges_issued},
+        {n::kBrokerHedgesWon, &serve::BrokerStats::hedges_won},
+        {n::kBrokerHedgesWasted, &serve::BrokerStats::hedges_wasted},
+    };
+    for (const auto &[name, field] : broker_fields)
+        EXPECT_EQ(registry.counter(name).value(), sa.*field + sb.*field)
+            << name;
+
+    // Per-cluster and per-route series sum the two load reports.
+    const serve::LoadReport la = a.loadReport();
+    const serve::LoadReport lb = b.loadReport();
+    for (std::size_t c = 0; c < data.store->numClusters(); ++c) {
+        const serve::ClusterLoad &ca = la.clusters[c];
+        const serve::ClusterLoad &cb = lb.clusters[c];
+        EXPECT_EQ(registry.counter(n::nodeMetric(c, n::kNodeSampleRequests))
+                      .value(),
+                  ca.sample_requests + cb.sample_requests) << c;
+        EXPECT_EQ(registry.counter(n::nodeMetric(c, n::kNodeDeepRequests))
+                      .value(),
+                  ca.deep_requests + cb.deep_requests) << c;
+        EXPECT_EQ(registry.counter(n::nodeMetric(c, n::kNodeHitsReturned))
+                      .value(),
+                  ca.hits_returned + cb.hits_returned) << c;
+        for (std::size_t slot = 0; slot < ca.replica_routes.size(); ++slot) {
+            const std::uint64_t from_b = slot < cb.replica_routes.size()
+                ? cb.replica_routes[slot]
+                : 0;
+            EXPECT_EQ(registry.counter(n::routeMetric(c, slot)).value(),
+                      ca.replica_routes[slot] + from_b)
+                << c << "." << slot;
+        }
+    }
+
+    // Two RPC clients of one shard; a wrong-dim query earns a typed
+    // error reply.
+    serve::ShardServer server(data.store->clusterIndex(0), {});
+    ASSERT_TRUE(server.start());
+    serve::RemoteNodeOptions ro;
+    ro.port = server.port();
+    serve::RemoteNodeClient c1(ro);
+    serve::RemoteNodeClient c2(ro);
+    index::SearchParams params;
+    for (std::size_t q = 0; q < 6; ++q) {
+        c1.submit(data.queries.embeddings.row(q), 3, params).get();
+        c2.submit(data.queries.embeddings.row(q), 3, params).get();
+    }
+    std::vector<float> wrong_dim(3, 0.5f);
+    EXPECT_THROW(c2.submit(vecstore::VecView(wrong_dim.data(),
+                                             wrong_dim.size()),
+                           3, params)
+                     .get(),
+                 std::exception);
+    const serve::RemoteNodeClientStats r1 = c1.clientStats();
+    const serve::RemoteNodeClientStats r2 = c2.clientStats();
+    EXPECT_EQ(r2.remote_errors, 1u);
+    EXPECT_EQ(registry.counter(n::kRpcRpcs).value(),
+              r1.rpcs_sent + r2.rpcs_sent);
+    EXPECT_EQ(registry.counter(n::kRpcRedials).value(),
+              r1.reconnects + r2.reconnects);
+    EXPECT_EQ(registry.counter(n::kRpcTransportFailures).value(),
+              r1.transport_failures + r2.transport_failures);
+    EXPECT_EQ(registry.counter(n::kRpcRemoteErrors).value(),
+              r1.remote_errors + r2.remote_errors);
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
 // HTTP exporter regressions
 
 namespace {

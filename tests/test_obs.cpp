@@ -852,8 +852,6 @@ TEST(ServeLoadReport, BrokerLoadReportAccountsTraffic)
     EXPECT_GT(report.uptime_seconds, 0.0);
     ASSERT_EQ(report.clusters.size(), data.store->numClusters());
 
-    // Per-cluster counters are process-wide (other tests also serve
-    // this 4-cluster store), so assert floors, not exact counts.
     std::uint64_t sample_total = 0;
     std::uint64_t deep_total = 0;
     for (const auto &cluster : report.clusters) {
@@ -863,8 +861,8 @@ TEST(ServeLoadReport, BrokerLoadReportAccountsTraffic)
         EXPECT_GT(cluster.energy_joules, 0.0);
         EXPECT_GE(cluster.utilization, 0.0);
     }
-    EXPECT_GE(sample_total, kQueries * data.store->numClusters());
-    EXPECT_GE(deep_total, kQueries * data.config.clusters_to_search);
+    EXPECT_EQ(sample_total, kQueries * data.store->numClusters());
+    EXPECT_EQ(deep_total, broker.stats().deep_requests);
     EXPECT_GT(report.total_energy_joules, 0.0);
 
     // One repeated query concentrates deep load: max/mean must exceed

@@ -125,6 +125,28 @@ TEST(RetrievalNode, BatchesQueuedRequests)
     EXPECT_LE(stats.batches, 64u);
 }
 
+TEST(SearchParams, EqualityCoversEveryField)
+{
+    // The node's batch grouping and RemoteNodeClient's coalescing both
+    // compare params with ==, so a field it missed would let requests
+    // of different shapes share one searchBatch.
+    using Mutate = void (*)(index::SearchParams &);
+    const std::pair<const char *, Mutate> cases[] = {
+        {"nprobe", [](index::SearchParams &p) { p.nprobe += 1; }},
+        {"ef_search", [](index::SearchParams &p) { p.ef_search += 1; }},
+        {"prune_ratio", [](index::SearchParams &p) { p.prune_ratio += 0.5; }},
+        {"batch_min_scan_floats",
+         [](index::SearchParams &p) { p.batch_min_scan_floats += 1; }},
+    };
+    const index::SearchParams base;
+    EXPECT_TRUE(base == index::SearchParams{});
+    for (const auto &[field, mutate] : cases) {
+        index::SearchParams changed = base;
+        mutate(changed);
+        EXPECT_FALSE(changed == base) << field;
+    }
+}
+
 TEST(HermesBroker, MatchesInProcessHermesSearch)
 {
     const auto &data = serveData();
@@ -615,6 +637,39 @@ TEST(HermesBroker, AdaptiveConfigPrunesDeepRequests)
     auto stats = broker.stats();
     EXPECT_LE(stats.deep_requests, 16u * config.clusters_to_search);
     EXPECT_GE(stats.deep_requests, 16u);
+}
+
+TEST(HermesBroker, NewBrokerStartsWithNoLoad)
+{
+    // Per-cluster and route counts belong to the broker that counted
+    // them: a broker built after another one served traffic over the
+    // same store reports, and plans replicas from, its own load only.
+    const auto &data = serveData();
+    {
+        serve::HermesBroker earlier(*data.store);
+        for (std::size_t q = 0; q < 40; ++q)
+            earlier.search(data.queries.embeddings.row(q % 32), 5);
+        ASSERT_GT(earlier.loadReport().clusters[0].sample_requests, 0u);
+    }
+
+    serve::HermesBroker fresh(*data.store);
+    auto load = fresh.loadReport();
+    EXPECT_EQ(load.queries, 0u);
+    ASSERT_EQ(load.clusters.size(), data.store->numClusters());
+    for (const auto &cluster : load.clusters) {
+        EXPECT_EQ(cluster.sample_requests, 0u) << cluster.cluster;
+        EXPECT_EQ(cluster.deep_requests, 0u) << cluster.cluster;
+        EXPECT_EQ(cluster.hits_returned, 0u) << cluster.cluster;
+        for (std::uint64_t routed : cluster.replica_routes)
+            EXPECT_EQ(routed, 0u) << cluster.cluster;
+    }
+
+    serve::ReplicationPolicy policy;
+    policy.hot_share_ratio = 1.0;
+    policy.min_deep_requests = 1;
+    policy.min_zipf_exponent = 0.0;
+    EXPECT_EQ(fresh.autoReplicate(policy), 0u);
+    EXPECT_EQ(fresh.numNodes(), data.store->numClusters());
 }
 
 } // namespace
