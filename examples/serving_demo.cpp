@@ -51,10 +51,12 @@
  * probes are hedged to a second replica (--hedge=0 disables) — the
  * run summary prints the hedge counters, and any query returning
  * fewer than the requested top-k is counted as "short". Hedging (and
- * the per-node retry ladder) needs a finite node deadline:
- * --deadline-ms sets it explicitly (it is otherwise 0 = infinite
- * unless drop_prob implies one), and for remote fleets it also
- * becomes each RPC's request deadline.
+ * the per-probe retry ladder) needs a finite node deadline:
+ * --deadline-ms sets it explicitly; otherwise it is BrokerConfig's
+ * default of 2000 ms, or 250 ms when drop_prob > 0 so dead nodes stay
+ * cheap. Each attempt gets the deadline from its submit, so a phase
+ * costs at most (retries + 1) deadlines however many nodes are dead.
+ * For remote fleets it also becomes each RPC's request deadline.
  *
  * --batch-window-us opts the nodes into micro-batching: concurrent
  * clients' requests landing on the same node within the window are

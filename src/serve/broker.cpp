@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -24,13 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 /** Poll granularity of the hedged first-response-wins race. */
 constexpr std::chrono::microseconds kHedgePoll{100};
-
-std::chrono::microseconds
-microsFromDouble(double us)
-{
-    return std::chrono::microseconds(
-        std::max<std::int64_t>(1, static_cast<std::int64_t>(us)));
-}
 
 /** what() of the exception being handled (call inside a catch). */
 std::string
@@ -216,185 +210,190 @@ HermesBroker::pickSlot(const std::vector<ReplicaSlot> &slots) const
     return qj < qi ? j : i;
 }
 
-HermesBroker::NodeOutcome
-HermesBroker::collect(std::future<NodeResponse> future,
-                      const std::vector<ReplicaSlot> &slots,
-                      std::size_t primary_slot, vecstore::VecView query,
-                      std::size_t k, const index::SearchParams &params) const
+/** Up to max_retries + 1 attempts; each races at most two lanes, the
+ *  attempt's own replica and (once per sample probe) a hedge. */
+struct HermesBroker::Probe
 {
-    NodeOutcome out;
-    for (std::size_t attempt = 0;; ++attempt) {
-        if (config_.node_deadline_ms > 0.0 &&
-            future.wait_for(std::chrono::duration<double, std::milli>(
-                config_.node_deadline_ms)) != std::future_status::ready) {
-            timeouts_.add();
-            obs::instantEvent(
-                "broker.timeout",
-                {{"attempt", std::to_string(attempt + 1), true}});
-            HERMES_WARN("node request missed its ",
-                        config_.node_deadline_ms, " ms deadline "
-                        "(attempt ", attempt + 1, ")");
-        } else {
-            try {
-                out.response = future.get();
-                out.ok = true;
-                return out;
-            } catch (...) {
-                failures_.add();
-                obs::instantEvent(
-                    "broker.failure",
-                    {{"attempt", std::to_string(attempt + 1), true}});
-                HERMES_WARN("node request failed: ", currentErrorMessage(),
-                            " (attempt ", attempt + 1, ")");
-            }
-        }
-        if (attempt >= config_.max_retries)
-            return out;
-        obs::instantEvent("broker.retry");
-        // Retry on the next replica: with R = 1 this is the same node
-        // (the pre-replication behaviour); with R > 1 a dead replica's
-        // retries drain to its peers.
-        const std::size_t next =
-            (primary_slot + attempt + 1) % slots.size();
-        if (next != primary_slot)
-            slots[next].routed->add(1);
-        future = slots[next].node->submit(query, k, params);
-    }
-}
+    const std::vector<ReplicaSlot> *slots = nullptr;
+    std::size_t primary = 0; ///< first attempt's slot
+    std::size_t attempt = 0; ///< retry n goes to slot primary + n
+    Clock::time_point submitted; ///< first submit, for probe latency
+    Clock::time_point deadline = Clock::time_point::max(); ///< attempt's
+    Clock::time_point hedge_at = Clock::time_point::max(); ///< max: armed
+    bool hedged = false; ///< a hedge lane was issued
+    bool done = false; ///< answered or lost
 
-HermesBroker::NodeOutcome
-HermesBroker::collectHedged(std::future<NodeResponse> future,
-                            const std::vector<ReplicaSlot> &slots,
-                            std::size_t primary_slot,
-                            Clock::time_point submitted, double trigger_us,
-                            vecstore::VecView query, std::size_t k,
-                            const index::SearchParams &params) const
+    /** [0] the attempt's replica, [1] the hedge. A lane is live while
+     *  its future is valid; get() consumes it, answer or throw. */
+    std::future<NodeResponse> lanes[2];
+};
+
+std::vector<std::optional<vecstore::HitList>>
+HermesBroker::gather(Phase phase, const Topology &topology,
+                     const std::vector<std::uint32_t> &clusters,
+                     vecstore::VecView query, std::size_t k,
+                     const index::SearchParams &params,
+                     double hedge_trigger_us) const
 {
-    struct Lane
-    {
-        std::future<NodeResponse> future;
-        std::size_t slot = 0;
-        bool hedge = false;
-        bool dead = false;
+    const double deadline_ms = config_.node_deadline_ms;
+    const auto budget = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::milli>(deadline_ms));
+    const auto deadlineFrom = [&](Clock::time_point submitted) {
+        return deadline_ms > 0.0 ? submitted + budget
+                                 : Clock::time_point::max();
     };
 
-    NodeOutcome out;
-    // Both the deadline and the hedge trigger are anchored at SUBMIT
-    // time, not collection time: probes are collected in cluster order,
-    // so by the time a later cluster is collected its probe has already
-    // aged — a trigger measured from now would systematically under-arm.
-    const auto deadline_tp =
-        submitted + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            config_.node_deadline_ms));
-    const auto hedge_at = submitted + microsFromDouble(trigger_us);
+    std::vector<Probe> probes(clusters.size());
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+        const std::uint32_t c = clusters[i];
+        Probe &probe = probes[i];
+        probe.slots = &topology[c];
+        probe.primary = pickSlot(topology[c]);
+        topology[c][probe.primary].routed->add(1);
+        (phase == Phase::Sample ? cluster_counters_[c].sample_requests
+                                : cluster_counters_[c].deep_requests)
+            .add(1);
+        probe.submitted = Clock::now();
+        probe.deadline = deadlineFrom(probe.submitted);
+        if (hedge_trigger_us > 0.0 && topology[c].size() > 1)
+            probe.hedge_at = probe.submitted +
+                std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double, std::micro>(
+                        hedge_trigger_us));
+        probe.lanes[0] =
+            topology[c][probe.primary].node->submit(query, k, params);
+    }
 
-    std::vector<Lane> lanes;
-    lanes.reserve(2);
-    lanes.push_back(Lane{std::move(future), primary_slot, false, false});
-    std::vector<bool> used(slots.size(), false);
-    used[primary_slot] = true;
-
-    // Total submit budget: the primary, the hedge, and the same retry
-    // allowance the unhedged path gets.
-    std::size_t submits = 1;
-    const std::size_t max_submits = 2 + config_.max_retries;
-    bool hedge_armed = false;
-
-    for (;;) {
-        const auto now = Clock::now();
-
-        // Arm the hedge once the primary outlives the trigger: duplicate
-        // to the least-loaded unused replica and race the lanes.
-        if (!hedge_armed && now >= hedge_at) {
-            hedge_armed = true;
-            if (submits < max_submits) {
-                std::size_t best = slots.size();
-                for (std::size_t s = 0; s < slots.size(); ++s) {
-                    if (used[s])
-                        continue;
-                    if (best == slots.size() ||
-                        slots[s].node->queueDepth() <
-                            slots[best].node->queueDepth())
-                        best = s;
-                }
-                if (best != slots.size()) {
-                    slots[best].routed->add(1);
-                    lanes.push_back(Lane{
-                        slots[best].node->submit(query, k, params), best,
-                        true, false});
-                    used[best] = true;
-                    ++submits;
-                    hedges_issued_.add();
-                    obs::instantEvent(
-                        "broker.hedge",
-                        {{"node",
-                          std::to_string(slots[best].node_index), true}});
-                }
-            }
-        }
-
-        bool any_live = false;
-        bool hedge_pending = std::any_of(
-            lanes.begin(), lanes.end(),
-            [](const Lane &l) { return l.hedge; });
-        for (Lane &lane : lanes) {
-            if (lane.dead)
-                continue;
-            any_live = true;
-            auto status = lane.future.wait_for(kHedgePoll);
-            if (status != std::future_status::ready)
+    std::vector<std::optional<vecstore::HitList>> hits(clusters.size());
+    // Bring probe i up to `now`: take an answer if a lane has one, end
+    // the attempt if every lane threw or its deadline passed (retry, or
+    // lose the probe), else arm the hedge once it is due. Answers come
+    // first, so one that arrived in time is never counted as a timeout.
+    const auto advance = [&](std::size_t i, Clock::time_point now) {
+        Probe &probe = probes[i];
+        const std::vector<ReplicaSlot> &slots = *probe.slots;
+        const std::size_t attempt = probe.attempt + 1;
+        for (std::size_t lane = 0; lane < 2; ++lane) {
+            std::future<NodeResponse> &future = probe.lanes[lane];
+            if (!future.valid() ||
+                future.wait_for(Clock::duration::zero()) !=
+                    std::future_status::ready)
                 continue;
             try {
-                out.response = lane.future.get();
-                out.ok = true;
-                if (lane.hedge)
+                NodeResponse response = future.get();
+                if (lane == 1)
                     hedges_won_.add();
-                else if (hedge_pending)
+                else if (probe.hedged)
                     hedges_wasted_.add();
-                // The losing lane's future is abandoned here: both node
-                // client kinds back it with a std::promise, so the late
-                // response is dropped on the floor without blocking and
-                // any pooled connection it rode stays healthy.
-                return out;
+                if (phase == Phase::Sample)
+                    h_sample_probe_us_.observe(
+                        std::chrono::duration<double, std::micro>(
+                            Clock::now() - probe.submitted).count());
+                cluster_counters_[clusters[i]].hits_returned.add(
+                    response.hits.size());
+                hits[i] = std::move(response.hits);
+                // The other lane's future is abandoned: both node client
+                // kinds back it with a std::promise, so the late response
+                // is dropped on the floor without blocking and any pooled
+                // connection it rode stays healthy.
+                probe.done = true;
+                return;
             } catch (...) {
                 failures_.add();
-                lane.dead = true;
                 obs::instantEvent("broker.failure",
-                                  {{"hedged", "1", true}});
-                HERMES_WARN("probe lane failed: ", currentErrorMessage());
+                                  {{"attempt", std::to_string(attempt),
+                                    true}});
+                HERMES_WARN("node request failed: ", currentErrorMessage(),
+                            " (attempt ", attempt, ")");
             }
         }
 
-        // Every lane died (exceptions, not stragglers): open a fresh
-        // lane on the next replica while the budget lasts. This is
-        // failover, not a hedge — there is no race to win.
-        if (!any_live) {
-            if (submits >= max_submits)
-                return out;
-            const std::size_t next =
-                (primary_slot + submits) % slots.size();
+        const bool all_threw =
+            !probe.lanes[0].valid() && !probe.lanes[1].valid();
+        if (all_threw || now >= probe.deadline) {
+            if (!all_threw) {
+                timeouts_.add();
+                obs::instantEvent("broker.timeout",
+                                  {{"attempt", std::to_string(attempt),
+                                    true}});
+                HERMES_WARN("node request missed its ", deadline_ms,
+                            " ms deadline (attempt ", attempt, ")");
+            }
+            if (probe.attempt >= config_.max_retries) {
+                probe.done = true;
+                return;
+            }
+            ++probe.attempt;
             obs::instantEvent("broker.retry");
-            if (next != primary_slot)
+            // Retry on the next replica: with R = 1 this is the same
+            // node; with R > 1 a dead replica's retries drain to its
+            // peers.
+            const std::size_t next =
+                (probe.primary + probe.attempt) % slots.size();
+            if (next != probe.primary)
                 slots[next].routed->add(1);
-            lanes.push_back(Lane{slots[next].node->submit(query, k, params),
-                                 next, false, false});
-            used[next] = true;
-            ++submits;
+            probe.lanes[1] = {};
+            probe.deadline = deadlineFrom(Clock::now());
+            probe.lanes[0] = slots[next].node->submit(query, k, params);
+            return;
         }
 
-        // Deadline check LAST: a probe that completed before we got to
-        // collect it (the deadline is anchored at submit, and earlier
-        // clusters' collection may have consumed the budget) must still
-        // be returned, never discarded as a timeout.
-        if (Clock::now() >= deadline_tp) {
-            timeouts_.add();
-            obs::instantEvent("broker.timeout",
-                              {{"hedged", "1", true}});
-            HERMES_WARN("hedged probe missed its ",
-                        config_.node_deadline_ms, " ms deadline");
-            return out;
+        if (now < probe.hedge_at)
+            return;
+        // Hedge to the least-loaded replica no attempt has used yet
+        // (attempts took slots primary .. primary + attempt).
+        probe.hedge_at = Clock::time_point::max();
+        std::size_t best = slots.size();
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+            if ((s + slots.size() - probe.primary) % slots.size() <=
+                probe.attempt)
+                continue;
+            if (best == slots.size() ||
+                slots[s].node->queueDepth() <
+                    slots[best].node->queueDepth())
+                best = s;
         }
+        if (best == slots.size())
+            return;
+        slots[best].routed->add(1);
+        probe.lanes[1] = slots[best].node->submit(query, k, params);
+        probe.hedged = true;
+        hedges_issued_.add();
+        obs::instantEvent(
+            "broker.hedge",
+            {{"node", std::to_string(slots[best].node_index), true}});
+    };
+
+    // One watcher: block on the first pending probe's live lane until the
+    // next due event, then sweep every pending probe.
+    for (;;) {
+        const Clock::time_point now = Clock::now();
+        std::future<NodeResponse> *watch = nullptr;
+        Clock::time_point due = Clock::time_point::max();
+        bool racing = false;
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            Probe &probe = probes[i];
+            if (!probe.done)
+                advance(i, now);
+            if (probe.done)
+                continue;
+            if (watch == nullptr)
+                watch = probe.lanes[0].valid() ? &probe.lanes[0]
+                                               : &probe.lanes[1];
+            racing = racing ||
+                (probe.lanes[0].valid() && probe.lanes[1].valid());
+            due = std::min({due, probe.deadline, probe.hedge_at});
+        }
+        if (watch == nullptr)
+            return hits;
+        // Two live lanes may answer in either order, and one future can
+        // only watch one of them: poll while any probe races.
+        if (racing)
+            due = std::min(due, Clock::now() + kHedgePoll);
+        if (due == Clock::time_point::max())
+            watch->wait();
+        else
+            watch->wait_until(due);
     }
 }
 
@@ -416,10 +415,11 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     const std::size_t n = topology.size();
 
     // Hedge trigger for this query: the windowed p95 (configurable) of
-    // recent sample-probe latencies, once enough samples exist. The
-    // probe latency measured below includes the collect loop's queueing
-    // behind earlier probes, so the trigger is biased upward — a hedge
-    // fires only for genuine stragglers.
+    // recent sample-probe latencies, once enough samples exist. A probe's
+    // latency is taken when the gather's sweep notices its answer, which
+    // can trail the answer while the watcher blocks on an earlier probe,
+    // so the trigger is biased upward — a hedge fires only for genuine
+    // stragglers.
     double hedge_trigger_us = -1.0;
     if (config_.hedge.enabled && config_.node_deadline_ms > 0.0) {
         auto probes =
@@ -443,102 +443,51 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     util::Timer query_timer;
 
     // Phase 1: broadcast the sampling request (paper §4.2 step 2), each
-    // cluster's probe routed to one replica by power-of-two-choices.
+    // cluster's probe routed to one replica by power-of-two-choices. A
+    // cluster whose probe was lost stays nullopt, so the plan never picks
+    // it for deep search this query.
     util::Timer phase_timer;
-    std::optional<obs::ScopedSpan> sample_span;
-    sample_span.emplace("broker.sample");
-    // Hardware-counter attribution for the phase (no-op unless --perf).
-    std::optional<obs::PerfScope> sample_perf;
-    sample_perf.emplace(obs::PerfPhase::Sample);
-    index::SearchParams sample_params;
-    sample_params.nprobe = config.sample_nprobe;
-    std::vector<std::future<NodeResponse>> sample_futures;
-    std::vector<std::size_t> sample_slots(n, 0);
-    std::vector<Clock::time_point> sample_submitted(n);
-    sample_futures.reserve(n);
-    for (std::size_t c = 0; c < n; ++c) {
-        const std::size_t slot = pickSlot(topology[c]);
-        sample_slots[c] = slot;
-        topology[c][slot].routed->add(1);
-        cluster_counters_[c].sample_requests.add(1);
-        sample_submitted[c] = Clock::now();
-        sample_futures.push_back(topology[c][slot].node->submit(
-            query, config.sample_k, sample_params));
-    }
-
-    // Collect the sampling hits. A cluster whose probe was lost
-    // (timeout/failure after retry) stays nullopt, so the plan never
-    // picks it for deep search this query.
-    std::vector<std::optional<vecstore::HitList>> sampled(n);
+    std::vector<std::optional<vecstore::HitList>> sampled;
     std::size_t sampled_ok = 0;
-    for (std::size_t c = 0; c < n; ++c) {
-        const bool hedgeable =
-            hedge_trigger_us > 0.0 && topology[c].size() > 1;
-        auto outcome = hedgeable
-            ? collectHedged(std::move(sample_futures[c]), topology[c],
-                            sample_slots[c], sample_submitted[c],
-                            hedge_trigger_us, query, config.sample_k,
-                            sample_params)
-            : collect(std::move(sample_futures[c]), topology[c],
-                      sample_slots[c], query, config.sample_k,
-                      sample_params);
-        if (!outcome.ok)
-            continue;
-        h_sample_probe_us_.observe(
-            std::chrono::duration<double, std::micro>(
-                Clock::now() - sample_submitted[c]).count());
-        cluster_counters_[c].hits_returned.add(
-            outcome.response.hits.size());
-        sampled[c] = std::move(outcome.response.hits);
-        ++sampled_ok;
+    {
+        obs::ScopedSpan sample_span("broker.sample");
+        // Hardware-counter attribution for the phase (no-op unless --perf).
+        obs::PerfScope sample_perf(obs::PerfPhase::Sample);
+        index::SearchParams sample_params;
+        sample_params.nprobe = config.sample_nprobe;
+        std::vector<std::uint32_t> all_clusters(n);
+        std::iota(all_clusters.begin(), all_clusters.end(), 0u);
+        sampled = gather(Phase::Sample, topology, all_clusters, query,
+                         config.sample_k, sample_params, hedge_trigger_us);
+        sampled_ok = static_cast<std::size_t>(std::count_if(
+            sampled.begin(), sampled.end(),
+            [](const auto &hits) { return hits.has_value(); }));
+        // Rank, fall back and prune exactly as core::HermesSearch does.
+        deep_clusters = core::chooseDeepClusters(
+            sampled, config.clusters_to_search, config.adaptive_epsilon);
+        sample_span.arg("clusters_sampled",
+                        static_cast<std::uint64_t>(sampled_ok));
     }
-    // Rank, fall back and prune exactly as core::HermesSearch does.
-    deep_clusters = core::chooseDeepClusters(
-        sampled, config.clusters_to_search, config.adaptive_epsilon);
-    sample_span->arg("clusters_sampled",
-                     static_cast<std::uint64_t>(sampled_ok));
-    sample_perf.reset();
-    sample_span.reset();
     h_sample_phase_.observe(phase_timer.elapsedMicros());
 
     // Phase 2: deep-search the chosen clusters.
     const std::size_t deep = deep_clusters.size();
     phase_timer.reset();
-    std::optional<obs::ScopedSpan> deep_span;
-    deep_span.emplace("broker.deep");
-    std::optional<obs::PerfScope> deep_perf;
-    deep_perf.emplace(obs::PerfPhase::Deep);
-    deep_span->arg("clusters", static_cast<std::uint64_t>(deep));
-    index::SearchParams deep_params;
-    deep_params.nprobe = config.deep_nprobe;
-    std::vector<std::future<NodeResponse>> deep_futures;
-    std::vector<std::size_t> deep_slots;
-    for (std::uint32_t c : deep_clusters) {
-        const std::size_t slot = pickSlot(topology[c]);
-        deep_slots.push_back(slot);
-        topology[c][slot].routed->add(1);
-        cluster_counters_[c].deep_requests.add(1);
-        deep_futures.push_back(
-            topology[c][slot].node->submit(query, k, deep_params));
-    }
-
     std::vector<vecstore::HitList> partials;
-    partials.reserve(deep_futures.size());
-    std::size_t deep_ok = 0;
-    for (std::size_t i = 0; i < deep_futures.size(); ++i) {
-        auto outcome =
-            collect(std::move(deep_futures[i]),
-                    topology[deep_clusters[i]], deep_slots[i], query, k,
-                    deep_params);
-        if (outcome.ok) {
-            cluster_counters_[deep_clusters[i]].hits_returned.add(
-                outcome.response.hits.size());
-            partials.push_back(std::move(outcome.response.hits));
-            ++deep_ok;
+    {
+        obs::ScopedSpan deep_span("broker.deep");
+        obs::PerfScope deep_perf(obs::PerfPhase::Deep);
+        deep_span.arg("clusters", static_cast<std::uint64_t>(deep));
+        index::SearchParams deep_params;
+        deep_params.nprobe = config.deep_nprobe;
+        partials.reserve(deep);
+        for (auto &hits : gather(Phase::Deep, topology, deep_clusters,
+                                 query, k, deep_params, -1.0)) {
+            if (hits)
+                partials.push_back(std::move(*hits));
         }
     }
-    deep_perf.reset();
-    deep_span.reset();
+    const std::size_t deep_ok = partials.size();
     h_deep_phase_.observe(phase_timer.elapsedMicros());
 
     // Graceful degradation: when a deep node was lost, backfill with the

@@ -27,22 +27,26 @@
  * promise-backed on both node client kinds, so discarding a late
  * response never blocks or leaks). Replicas hold copies of the same
  * immutable index, so routing and hedging cannot change results —
- * unreplicated brokers take the exact pre-replication code path.
+ * unreplicated clusters draw no routing randomness and never hedge.
  *
  * The plan itself — rank, all-lost fallback, cap and adaptive prune —
  * is core::chooseDeepClusters, the same function core::HermesSearch
  * runs; the broker only executes it across nodes.
  *
- * Fault model: every node request carries a deadline and one bounded
- * retry; with replicas, retries rotate to the next replica so a dead
- * node's traffic drains to its peers. A node that times out or throws
- * is logged and counted (BrokerStats::timeouts / failures). A probe
- * still unanswered after its retries, failover and hedge is lost: the
- * query degrades gracefully by merging whatever partial results arrived
- * — padded with the sampling hits when a deep probe was lost — and only
- * returns fewer than k hits when every deep node failed.
- * BrokerStats::degraded_queries counts the queries that lost a probe;
- * one whose faults all recovered is not degraded.
+ * Fault model: a probe (one cluster's request in steps 1 or 3) makes up
+ * to max_retries + 1 attempts, each with a deadline of node_deadline_ms
+ * from its own submit. An attempt ends when a lane answers, when every
+ * lane threw (one BrokerStats::failures each) or at its deadline (one
+ * BrokerStats::timeouts); a hedge is a second lane. Retries rotate to
+ * the next replica, so a dead node's traffic drains to its peers. A
+ * phase's probes run their attempts side by side, so a phase costs at
+ * most (max_retries + 1) deadlines however many nodes are dead. A
+ * probe with no attempts left is lost: the query degrades gracefully by
+ * merging whatever partial results arrived — padded with the sampling
+ * hits when a deep probe was lost — and only returns fewer than k hits
+ * when every deep node failed. BrokerStats::degraded_queries counts the
+ * queries that lost a probe; one whose faults all recovered is not
+ * degraded.
  */
 
 #pragma once
@@ -50,6 +54,7 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <vector>
 
@@ -66,7 +71,7 @@ namespace serve {
 /** Hedged-request tuning for straggling sample-phase probes. */
 struct HedgeConfig
 {
-    /** Master switch; off = exactly the pre-hedging wait loop. */
+    /** Master switch; off = no probe ever gets a second lane. */
     bool enabled = true;
 
     /** Probe-latency percentile that arms the hedge (p95: a probe
@@ -104,15 +109,15 @@ struct BrokerConfig
     std::vector<FaultInjector> node_faults;
 
     /**
-     * Deadline in milliseconds for each node request (sampling and deep
-     * search alike). A request that is not ready by then counts as a
-     * timeout and is retried/abandoned. 0 waits forever (pre-fault-
-     * tolerance behaviour; a dead node then hangs the query) and
-     * disables hedging.
+     * Deadline in milliseconds for each attempt of a probe (sampling and
+     * deep search alike), counted from that attempt's submit. An attempt
+     * with no answer by then counts as one timeout and is retried or
+     * the probe is lost. 0 waits forever (a dead node then hangs the
+     * query) and disables hedging.
      */
     double node_deadline_ms = 2000.0;
 
-    /** Bounded resubmits after a timeout or failure (per request). */
+    /** Bounded resubmits after a timeout or failure (per probe). */
     std::size_t max_retries = 1;
 
     /**
@@ -133,8 +138,8 @@ struct BrokerConfig
     ReplicaMap replica_map;
 
     /** Hedged-request policy for sample-phase probes. Only engages for
-     *  clusters with >= 2 replicas, so unreplicated brokers are
-     *  bit-for-bit on the pre-hedging path. */
+     *  clusters with >= 2 replicas; an unreplicated probe never gets a
+     *  second lane. */
     HedgeConfig hedge;
 };
 
@@ -151,7 +156,7 @@ struct BrokerStats
     /** Deep-search requests issued (queries x clusters searched). */
     std::uint64_t deep_requests = 0;
 
-    /** Node waits that missed their deadline (a retry that times out
+    /** Attempts that missed their deadline (a retry that times out
      *  again counts twice). */
     std::uint64_t timeouts = 0;
 
@@ -298,13 +303,6 @@ class HermesBroker
      *  so addReplica() can grow it concurrently. */
     using Topology = std::vector<std::vector<ReplicaSlot>>;
 
-    /** Outcome of one node request after deadline/retry handling. */
-    struct NodeOutcome
-    {
-        bool ok = false;
-        NodeResponse response;
-    };
-
     /**
      * Power-of-two-choices: with one slot return it outright (no RNG —
      * the unreplicated path stays byte-for-byte deterministic);
@@ -314,36 +312,29 @@ class HermesBroker
      */
     std::size_t pickSlot(const std::vector<ReplicaSlot> &slots) const;
 
-    /**
-     * Wait for @p future under the configured deadline, retrying via a
-     * fresh submit() up to max_retries times on timeout or exception.
-     * Retries rotate over @p slots starting after @p primary_slot (a
-     * single replica degenerates to resubmitting to the same node).
-     * Counts timeouts and failures.
-     */
-    NodeOutcome collect(std::future<NodeResponse> future,
-                        const std::vector<ReplicaSlot> &slots,
-                        std::size_t primary_slot, vecstore::VecView query,
-                        std::size_t k,
-                        const index::SearchParams &params) const;
+    /** Which phase a gather() runs: sample probes count in
+     *  node.<c>.sample_requests and feed the hedge trigger's latency
+     *  window; deep probes count in node.<c>.deep_requests. */
+    enum class Phase { Sample, Deep };
+
+    /** One cluster's request in one phase (defined in broker.cpp). */
+    struct Probe;
 
     /**
-     * First-response-wins wait for a sample probe with a hedge: if the
-     * primary is still pending @p trigger_us after submit, duplicate
-     * the probe to the least-loaded other replica and race the two;
-     * the losing future is abandoned (safe: promise-backed). A lane
-     * that fails is retired; when all lanes are dead and the resubmit
-     * budget allows, a fresh lane is opened on the next replica
-     * (failover, not counted as a hedge). Returns !ok only after the
-     * deadline expires or the budget is exhausted.
+     * Run one phase: submit a probe to each of @p clusters in order,
+     * routed by pickSlot(), and wait for all of them under the fault
+     * model (file comment). One watcher blocks on a single future until
+     * the next attempt deadline or hedge time, then sweeps every pending
+     * probe. Replicated clusters hedge @p hedge_trigger_us (<= 0: never)
+     * after first submit. Returns each probe's hits in @p clusters
+     * order; nullopt for a lost probe.
      */
-    NodeOutcome collectHedged(std::future<NodeResponse> future,
-                              const std::vector<ReplicaSlot> &slots,
-                              std::size_t primary_slot,
-                              std::chrono::steady_clock::time_point submitted,
-                              double trigger_us,
-                              vecstore::VecView query, std::size_t k,
-                              const index::SearchParams &params) const;
+    std::vector<std::optional<vecstore::HitList>>
+    gather(Phase phase, const Topology &topology,
+           const std::vector<std::uint32_t> &clusters,
+           vecstore::VecView query, std::size_t k,
+           const index::SearchParams &params,
+           double hedge_trigger_us) const;
 
     /** LocalNodeClient over the store's shard of @p cluster, with the
      *  cluster's fault override (store-backed brokers only). */

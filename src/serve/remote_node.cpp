@@ -1,7 +1,6 @@
 #include "serve/remote_node.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 
@@ -57,11 +56,17 @@ parseEndpoint(const std::string &spec, std::string &host,
         host = colon == 0 ? std::string("127.0.0.1") : spec.substr(0, colon);
         port_str = spec.substr(colon + 1);
     }
-    if (port_str.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long value = std::strtoul(port_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || value == 0 || value > 65535)
+    // ASCII digits only: strtoul would also take a sign or leading
+    // whitespace ("h:+80", "h: 80"). Empty reads as 0 and is rejected.
+    std::uint32_t value = 0;
+    for (char ch : port_str) {
+        if (ch < '0' || ch > '9')
+            return false;
+        value = value * 10 + static_cast<std::uint32_t>(ch - '0');
+        if (value > 65535)
+            return false;
+    }
+    if (value == 0)
         return false;
     port = static_cast<std::uint16_t>(value);
     return true;

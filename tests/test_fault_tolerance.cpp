@@ -11,10 +11,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -358,14 +361,23 @@ TEST(HermesBrokerFaults, AllNodesFailingReturnsEmptyNotCrash)
     EXPECT_GT(stats.failures, 0u);
 }
 
-/** Delegates to a LocalNodeClient, except that the first request's
- *  future fails. */
-class FailsFirstNodeClient final : public serve::NodeClient
+/** What a ScriptedNodeClient does with one request. */
+enum class Step
+{
+    Ok,   ///< delegate to the real node
+    Fail, ///< the future rethrows an injected failure
+    Drop, ///< the future never becomes ready (a dead node)
+};
+
+/** Delegates to a LocalNodeClient, except that its n-th request follows
+ *  script[n]; requests past the end of the script are Ok. */
+class ScriptedNodeClient final : public serve::NodeClient
 {
   public:
-    FailsFirstNodeClient(const index::AnnIndex &shard,
-                         const serve::NodeConfig &config)
-        : inner_(shard, config)
+    ScriptedNodeClient(const index::AnnIndex &shard,
+                       const serve::NodeConfig &config,
+                       std::vector<Step> script)
+        : inner_(shard, config), script_(std::move(script))
     {
     }
 
@@ -373,13 +385,19 @@ class FailsFirstNodeClient final : public serve::NodeClient
     submit(vecstore::VecView query, std::size_t k,
            const index::SearchParams &params) override
     {
-        if (!failed_.exchange(true)) {
-            std::promise<serve::NodeResponse> promise;
+        std::lock_guard<std::mutex> lock(mutex_);
+        const Step step =
+            calls_ < script_.size() ? script_[calls_] : Step::Ok;
+        ++calls_;
+        if (step == Step::Ok)
+            return inner_.submit(query, k, params);
+        // Dropped promises stay parked until the client is destroyed,
+        // so their futures never become ready.
+        std::promise<serve::NodeResponse> &promise = parked_.emplace_back();
+        if (step == Step::Fail)
             promise.set_exception(std::make_exception_ptr(
-                std::runtime_error("injected first-request failure")));
-            return promise.get_future();
-        }
-        return inner_.submit(query, k, params);
+                std::runtime_error("injected scripted failure")));
+        return promise.get_future();
     }
 
     serve::NodeStats stats() const override { return inner_.stats(); }
@@ -388,43 +406,94 @@ class FailsFirstNodeClient final : public serve::NodeClient
 
   private:
     serve::LocalNodeClient inner_;
-    std::atomic<bool> failed_{false};
+    const std::vector<Step> script_;
+    std::mutex mutex_;
+    std::size_t calls_ = 0;
+    std::deque<std::promise<serve::NodeResponse>> parked_;
 };
 
-TEST(HermesBrokerFaults, RecoveredRetryIsNotDegraded)
+TEST(HermesBrokerFaults, ScriptedFaultLadders)
 {
-    // Node 0's first probe fails and its retry succeeds: the fault is
-    // counted, but the answer is whole, so the query is not degraded.
+    // Node 0 follows a fault script from its first request on (query
+    // 0's sample probe); every other request is fault-free. A probe
+    // whose retry answers counts its faults but is not degraded, and
+    // its query stays bit-identical to core::HermesSearch; a probe with
+    // no attempts left degrades query 0 alone.
+    struct Row
+    {
+        std::vector<Step> script;
+        std::size_t max_retries;
+        std::uint64_t failures;
+        std::uint64_t timeouts;
+        std::uint64_t degraded;
+    };
+    const Row rows[] = {
+        {{Step::Fail, Step::Ok}, 1, 1, 0, 0},
+        {{Step::Drop, Step::Ok}, 1, 0, 1, 0},
+        {{Step::Drop, Step::Drop}, 1, 0, 2, 1},
+        {{Step::Fail, Step::Fail}, 1, 2, 0, 1},
+        {{Step::Fail}, 0, 1, 0, 1},
+    };
     const auto &data = brokerFixture();
-    std::vector<std::unique_ptr<serve::NodeClient>> nodes;
-    for (std::size_t c = 0; c < data.store->numClusters(); ++c) {
-        serve::NodeConfig node_config;
-        node_config.node_id = c;
-        if (c == 0) {
-            nodes.push_back(std::make_unique<FailsFirstNodeClient>(
-                data.store->clusterIndex(c), node_config));
-        } else {
-            nodes.push_back(std::make_unique<serve::LocalNodeClient>(
-                data.store->clusterIndex(c), node_config));
-        }
-    }
-    serve::BrokerConfig config;
-    config.max_retries = 1;
-    serve::HermesBroker broker(data.store->config(), std::move(nodes),
-                               config);
     core::HermesSearch reference(*data.store);
+    for (std::size_t r = 0; r < std::size(rows); ++r) {
+        const Row &row = rows[r];
+        std::vector<std::unique_ptr<serve::NodeClient>> nodes;
+        for (std::size_t c = 0; c < data.store->numClusters(); ++c) {
+            serve::NodeConfig node_config;
+            node_config.node_id = c;
+            nodes.push_back(std::make_unique<ScriptedNodeClient>(
+                data.store->clusterIndex(c), node_config,
+                c == 0 ? row.script : std::vector<Step>{}));
+        }
+        serve::BrokerConfig config;
+        config.node_deadline_ms = 250.0;
+        config.max_retries = row.max_retries;
+        serve::HermesBroker broker(data.store->config(), std::move(nodes),
+                                   config);
 
-    for (std::size_t q = 0; q < 4; ++q) {
-        auto hits = broker.search(data.queries.embeddings.row(q), 5);
-        auto expected =
-            reference.search(data.queries.embeddings.row(q), 5).hits;
-        EXPECT_EQ(hits, expected) << "query " << q;
+        for (std::size_t q = 0; q < 4; ++q) {
+            auto hits = broker.search(data.queries.embeddings.row(q), 5);
+            if (q == 0 && row.degraded > 0)
+                continue; // the lost probe's query is not comparable
+            auto expected =
+                reference.search(data.queries.embeddings.row(q), 5).hits;
+            EXPECT_EQ(hits, expected) << "row " << r << " query " << q;
+        }
+        auto stats = broker.stats();
+        EXPECT_EQ(stats.queries, 4u) << "row " << r;
+        EXPECT_EQ(stats.failures, row.failures) << "row " << r;
+        EXPECT_EQ(stats.timeouts, row.timeouts) << "row " << r;
+        EXPECT_EQ(stats.degraded_queries, row.degraded) << "row " << r;
     }
-    auto stats = broker.stats();
-    EXPECT_EQ(stats.queries, 4u);
-    EXPECT_EQ(stats.failures, 1u);
-    EXPECT_EQ(stats.timeouts, 0u);
-    EXPECT_EQ(stats.degraded_queries, 0u);
+}
+
+TEST(HermesBrokerFaults, DeadFleetCostsOneRetryLadderPerPhase)
+{
+    // Every node drops every request. Each phase's probes run their
+    // attempts side by side, so a query costs about 2 phases x
+    // (max_retries + 1) deadlines, not one ladder per cluster.
+    const auto &data = brokerFixture();
+    serve::BrokerConfig config;
+    config.node.faults.drop_probability = 1.0;
+    config.node_deadline_ms = 50.0;
+    config.max_retries = 1;
+    serve::HermesBroker broker(*data.store, config);
+
+    for (std::size_t q = 0; q < 3; ++q) {
+        const std::uint64_t timeouts_before = broker.stats().timeouts;
+        const auto start = std::chrono::steady_clock::now();
+        auto hits = broker.search(data.queries.embeddings.row(q), 5);
+        const double ms = std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start).count();
+        auto stats = broker.stats();
+        EXPECT_TRUE(hits.empty()) << "query " << q;
+        EXPECT_EQ(stats.degraded_queries, q + 1) << "query " << q;
+        // 6 sample probes x 2 attempts, then the all-lost fallback's 2
+        // deep probes x 2 attempts.
+        EXPECT_EQ(stats.timeouts - timeouts_before, 16u) << "query " << q;
+        EXPECT_LT(ms, 8 * config.node_deadline_ms) << "query " << q;
+    }
 }
 
 TEST(HermesBrokerFaults, RandomFaultsEverywhereStillServeTopK)

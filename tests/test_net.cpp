@@ -597,6 +597,8 @@ TEST(Endpoint, ParseEndpointTable)
         {"h:0", false, "", 0},
         {"h:65536", false, "", 0},
         {"h:80x", false, "", 0},
+        {"h: 80", false, "", 0},
+        {"h:+80", false, "", 0},
         {"h:", false, "", 0},
         {"", false, "", 0},
     };
