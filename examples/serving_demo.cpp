@@ -95,7 +95,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -103,21 +102,11 @@
 #include <vector>
 
 #include "hermes/hermes.hpp"
+#include "util/argparse.hpp"
 
 namespace {
 
-/**
- * Split `--metrics-json=` / `--trace-out=` / `--trace-sample=` options out
- * of argv, leaving the positional fault-injection arguments in place.
- */
-const char *
-matchOption(const char *arg, const char *name)
-{
-    std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
-}
+using hermes::util::matchOption;
 
 /** Split a comma-separated endpoint list, dropping empty entries. */
 std::vector<std::string>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -32,6 +33,15 @@ rebuildCoarseGraph(std::size_t dim, const vecstore::Matrix &centroids,
     slot = std::make_unique<HnswIndex>(dim, vecstore::Metric::L2, hc);
     slot->addSequential(centroids);
 }
+
+/** Per-phase latency histograms, fed by both search executors. */
+struct PhaseHistograms
+{
+    obs::Histogram &coarse = obs::Registry::instance().histogram(
+        obs::names::kIvfCoarseUs);
+    obs::Histogram &scan =
+        obs::Registry::instance().histogram(obs::names::kIvfScanUs);
+};
 
 } // namespace
 
@@ -102,11 +112,25 @@ IvfIndex::addImpl(const vecstore::Matrix &data,
     HERMES_ASSERT(data.rows() == ids.size(), "add: row/id count mismatch");
     HERMES_ASSERT(data.dim() == dim_, "add: dim mismatch");
 
+    // Rows arrive in order, so each list keeps insertion order and the
+    // result is identical to a row-by-row add().
+    const std::size_t code_size = codec_->codeSize();
+    encodeRows(data, pool,
+               [&](std::size_t i, std::uint32_t list,
+                   const std::uint8_t *code) {
+                   auto &il = lists_[list];
+                   il.ids.push_back(ids[i]);
+                   il.codes.insert(il.codes.end(), code, code + code_size);
+               });
+    ntotal_ += ids.size();
+}
+
+void
+IvfIndex::encodeRows(const vecstore::Matrix &data, util::ThreadPool *pool,
+                     const RowSink &sink) const
+{
     const std::size_t n = data.rows();
     const std::size_t code_size = codec_->codeSize();
-
-    // Phase 1: batch-assign and encode every row (independent per row,
-    // so it fans out over the pool when one is supplied).
     std::vector<std::uint32_t> assign(n);
     std::vector<std::uint8_t> codes(n * code_size);
     auto assignAndEncode = [&](std::size_t i) {
@@ -120,34 +144,16 @@ IvfIndex::addImpl(const vecstore::Matrix &data,
         for (std::size_t i = 0; i < n; ++i)
             assignAndEncode(i);
     }
-
-    // Phase 2: sequential scatter preserves insertion order within each
-    // list, so the result is identical to a row-by-row add().
-    for (std::size_t i = 0; i < n; ++i) {
-        auto &il = lists_[assign[i]];
-        il.ids.push_back(ids[i]);
-        il.codes.insert(il.codes.end(), codes.begin() + i * code_size,
-                        codes.begin() + (i + 1) * code_size);
-    }
-    ntotal_ += n;
+    for (std::size_t i = 0; i < n; ++i)
+        sink(i, assign[i], codes.data() + i * code_size);
 }
 
-vecstore::HitList
-IvfIndex::search(vecstore::VecView query, std::size_t k,
-                 const SearchParams &params, SearchStats *stats) const
+void
+IvfIndex::planProbes(vecstore::VecView query, const float *coarse_scores,
+                     const SearchParams &params, ProbePlan &plan) const
 {
-    HERMES_ASSERT(trained_, "IvfIndex::search before train");
-    HERMES_ASSERT(query.size() == dim_, "search: dim mismatch");
-
-    static obs::Histogram &h_coarse =
-        obs::Registry::instance().histogram(obs::names::kIvfCoarseUs);
-    static obs::Histogram &h_scan =
-        obs::Registry::instance().histogram(obs::names::kIvfScanUs);
-    obs::ScopedSpan span("ivf.search");
-    util::Timer timer;
-
-    std::size_t nprobe = std::max<std::size_t>(params.nprobe, 1);
-    nprobe = std::min(nprobe, config_.nlist);
+    const std::size_t nprobe =
+        std::min(std::max<std::size_t>(params.nprobe, 1), config_.nlist);
 
     // Coarse step: rank centroids by L2 regardless of metric — K-means
     // cells are Voronoi cells under L2 (FAISS does the same for IP via
@@ -155,34 +161,21 @@ IvfIndex::search(vecstore::VecView query, std::size_t k,
     // normalized embeddings RAG encoders produce). With hnsw_coarse the
     // linear scan is replaced by a graph walk over the centroids.
     vecstore::HitList probe;
-    std::uint64_t coarse_evals = config_.nlist;
-    if (coarse_graph_) {
+    plan.coarse_evals = config_.nlist;
+    if (coarse_scores == nullptr) {
         SearchParams coarse_params;
         coarse_params.ef_search = nprobe + 16;
         SearchStats coarse_stats;
         probe = coarse_graph_->search(query, nprobe, coarse_params,
                                       &coarse_stats);
-        coarse_evals = coarse_stats.distance_computations;
+        plan.coarse_evals = coarse_stats.distance_computations;
     } else {
         vecstore::TopK coarse(nprobe);
-        static thread_local std::vector<float> coarse_scores;
-        if (coarse_scores.size() < config_.nlist)
-            coarse_scores.resize(config_.nlist);
-        vecstore::l2SqBatch(query.data(), centroids_.data(), config_.nlist,
-                            dim_, coarse_scores.data());
         for (std::size_t c = 0; c < config_.nlist; ++c)
             coarse.push(static_cast<vecstore::VecId>(c), coarse_scores[c]);
         probe = coarse.take();
     }
-    h_coarse.observe(timer.elapsedMicros());
-    timer.reset();
 
-    auto computer = codec_->distanceComputer(metric_, query);
-    const std::size_t code_size = codec_->codeSize();
-
-    vecstore::TopK selector(std::max<std::size_t>(k, 1));
-    std::uint64_t scanned = 0;
-    std::uint64_t probed = 0;
     // SPANN-style pruning: skip candidate lists whose centroid distance
     // exceeds prune_ratio x the best centroid distance (probe list comes
     // out of the coarse selector best-first, so we can stop early).
@@ -197,37 +190,78 @@ IvfIndex::search(vecstore::VecView query, std::size_t k,
                 probe.front().score >= 0.0f
             ? static_cast<float>(params.prune_ratio) * probe.front().score
             : std::numeric_limits<float>::max();
+    plan.visits.clear();
+    plan.visits.reserve(probe.size());
+    plan.scanned = 0;
+    for (const auto &candidate : probe) {
+        if (candidate.score > prune_bound)
+            break;
+        const auto list = static_cast<std::uint32_t>(candidate.id);
+        const std::size_t len = listRef(list).size;
+        plan.visits.push_back({list, len});
+        plan.scanned += len;
+    }
+}
+
+void
+IvfIndex::foldStats(const ProbePlan &plan, SearchStats *stats) const
+{
+    if (!stats)
+        return;
+    stats->lists_probed += plan.visits.size();
+    stats->vectors_scanned += plan.scanned;
+    stats->distance_computations += plan.scanned + plan.coarse_evals;
+    stats->bytes_scanned += plan.scanned * codec_->codeSize();
+}
+
+vecstore::HitList
+IvfIndex::search(vecstore::VecView query, std::size_t k,
+                 const SearchParams &params, SearchStats *stats) const
+{
+    HERMES_ASSERT(trained_, "IvfIndex::search before train");
+    HERMES_ASSERT(query.size() == dim_, "search: dim mismatch");
+
+    static PhaseHistograms histograms;
+    obs::ScopedSpan span("ivf.search");
+    util::Timer timer;
+
+    // Thread-local buffers, reused across queries: the coarse scores,
+    // the plan's visit list and the list scan scores.
+    static thread_local std::vector<float> coarse_scores;
+    static thread_local ProbePlan plan;
+    static thread_local std::vector<float> scan_scores;
+    if (!coarse_graph_) {
+        if (coarse_scores.size() < config_.nlist)
+            coarse_scores.resize(config_.nlist);
+        vecstore::l2SqBatch(query.data(), centroids_.data(), config_.nlist,
+                            dim_, coarse_scores.data());
+    }
+    planProbes(query, coarse_graph_ ? nullptr : coarse_scores.data(), params,
+               plan);
+    histograms.coarse.observe(timer.elapsedMicros());
+    timer.reset();
+
     // Block-oriented list scan: one scan() call per probed list (no
     // virtual dispatch per vector) into a buffer reused across lists and
     // queries, then a batched heap offer filtered against the current
     // worst retained score.
-    static thread_local std::vector<float> scan_scores;
-    for (const auto &candidate : probe) {
-        if (candidate.score > prune_bound)
-            break;
-        const ListRef il = listRef(static_cast<std::size_t>(candidate.id));
-        const std::size_t len = il.size;
-        if (len > 0) {
-            if (scan_scores.size() < len)
-                scan_scores.resize(len);
-            computer->scan(il.codes, len, selector.worst(),
-                           scan_scores.data());
-            selector.pushBatch(il.ids, scan_scores.data(), len);
-        }
-        scanned += len;
-        ++probed;
+    auto computer = codec_->distanceComputer(metric_, query);
+    vecstore::TopK selector(std::max<std::size_t>(k, 1));
+    for (const auto &visit : plan.visits) {
+        if (visit.len == 0)
+            continue;
+        const ListRef il = listRef(visit.list);
+        if (scan_scores.size() < il.size)
+            scan_scores.resize(il.size);
+        computer->scan(il.codes, il.size, selector.worst(),
+                       scan_scores.data());
+        selector.pushBatch(il.ids, scan_scores.data(), il.size);
     }
 
-    h_scan.observe(timer.elapsedMicros());
-    span.arg("lists_probed", probed);
-    span.arg("vectors_scanned", scanned);
-
-    if (stats) {
-        stats->lists_probed += probed;
-        stats->vectors_scanned += scanned;
-        stats->distance_computations += scanned + coarse_evals;
-        stats->bytes_scanned += scanned * code_size;
-    }
+    histograms.scan.observe(timer.elapsedMicros());
+    span.arg("lists_probed", plan.visits.size());
+    span.arg("vectors_scanned", plan.scanned);
+    foldStats(plan, stats);
 
     auto hits = selector.take();
     if (hits.size() > k)
@@ -243,109 +277,44 @@ IvfIndex::searchBatch(const vecstore::Matrix &queries, std::size_t k,
     HERMES_ASSERT(trained_, "IvfIndex::searchBatch before train");
     HERMES_ASSERT(queries.dim() == dim_, "searchBatch: dim mismatch");
 
+    // A single query has nothing to amortize. The cost cutover (see
+    // SearchParams::batch_min_scan_floats) estimates the scan assuming
+    // uniformly filled lists and ignoring pruning, which is all it
+    // needs — it only has to separate trivial scans (sampled indexes,
+    // tiny dims) from ones worth amortizing. Both take the base class's
+    // per-query loop.
     const std::size_t num_queries = queries.rows();
+    const std::size_t probe_est =
+        std::min(std::max<std::size_t>(params.nprobe, 1), config_.nlist);
+    const std::size_t est_floats =
+        ntotal_ * probe_est / config_.nlist * dim_;
+    if (num_queries <= 1 || est_floats < params.batch_min_scan_floats)
+        return AnnIndex::searchBatch(queries, k, params, per_query);
+
     std::vector<vecstore::HitList> results(num_queries);
     if (per_query)
         per_query->assign(num_queries, SearchStats{});
-    if (num_queries == 0)
-        return results;
-    if (num_queries == 1) {
-        // No amortization to be had; the per-query path avoids the
-        // buffering overhead.
-        results[0] = search(queries.row(0), k, params,
-                            per_query ? &(*per_query)[0] : nullptr);
-        return results;
-    }
-    if (params.batch_min_scan_floats > 0 && config_.nlist > 0) {
-        // Cost cutover (see SearchParams::batch_min_scan_floats): the
-        // estimate assumes uniformly filled lists and ignores pruning,
-        // which is all it needs — it only has to separate trivial scans
-        // (sampled indexes, tiny dims) from ones worth amortizing.
-        const std::size_t probe_est =
-            std::min(std::max<std::size_t>(params.nprobe, 1),
-                     config_.nlist);
-        const std::size_t est_floats =
-            ntotal_ * probe_est / config_.nlist * dim_;
-        if (est_floats < params.batch_min_scan_floats) {
-            for (std::size_t qi = 0; qi < num_queries; ++qi) {
-                results[qi] =
-                    search(queries.row(qi), k, params,
-                           per_query ? &(*per_query)[qi] : nullptr);
-            }
-            return results;
-        }
-    }
 
-    static obs::Histogram &h_coarse =
-        obs::Registry::instance().histogram(obs::names::kIvfCoarseUs);
-    static obs::Histogram &h_scan =
-        obs::Registry::instance().histogram(obs::names::kIvfScanUs);
+    static PhaseHistograms histograms;
     obs::ScopedSpan span("ivf.search_batch");
     span.arg("queries", num_queries);
     util::Timer timer;
 
-    std::size_t nprobe = std::max<std::size_t>(params.nprobe, 1);
-    nprobe = std::min(nprobe, config_.nlist);
-    const std::size_t code_size = codec_->codeSize();
-
     // -------------------------------------------------------------------
-    // Coarse phase: rank centroids for every query. The linear scan goes
-    // through the multi-query kernel in blocks (each centroid row is
-    // streamed once per block, not once per query); per query the scores
-    // and the ascending push order match search() exactly.
+    // Coarse phase: plan every query. The linear scan goes through the
+    // multi-query kernel in blocks (each centroid row is streamed once
+    // per block, not once per query); per query the scores match
+    // search()'s exactly, and the plan is the same function.
     // -------------------------------------------------------------------
-    struct ProbeEntry
-    {
-        std::uint32_t list;
-        std::size_t len;
-        std::size_t offset; // into the group score buffer (len > 0 only)
-    };
-    std::vector<std::vector<ProbeEntry>> probes(num_queries);
-    std::vector<std::uint64_t> coarse_evals(num_queries, config_.nlist);
-    std::vector<std::size_t> scan_bytes(num_queries, 0);
-
-    vecstore::HitList probe;
-    auto buildProbeSequence = [&](std::size_t qi) {
-        const float prune_bound =
-            params.prune_ratio > 0.0 && !probe.empty() &&
-                    probe.front().score >= 0.0f
-                ? static_cast<float>(params.prune_ratio) *
-                      probe.front().score
-                : std::numeric_limits<float>::max();
-        auto &seq = probes[qi];
-        seq.reserve(probe.size());
-        std::size_t bytes = 0;
-        for (const auto &candidate : probe) {
-            if (candidate.score > prune_bound)
-                break;
-            const std::size_t list = static_cast<std::size_t>(candidate.id);
-            const std::size_t len = listRef(list).size;
-            seq.push_back({static_cast<std::uint32_t>(list), len, 0});
-            bytes += len * sizeof(float);
-        }
-        scan_bytes[qi] = bytes;
-    };
-
-    if (coarse_graph_) {
-        SearchParams coarse_params;
-        coarse_params.ef_search = nprobe + 16;
-        for (std::size_t qi = 0; qi < num_queries; ++qi) {
-            SearchStats coarse_stats;
-            probe = coarse_graph_->search(queries.row(qi), nprobe,
-                                          coarse_params, &coarse_stats);
-            coarse_evals[qi] = coarse_stats.distance_computations;
-            buildProbeSequence(qi);
-        }
-    } else {
-        // Block the batch so the Q x nlist score tile stays modest.
-        constexpr std::size_t kCoarseBlock = 64;
-        std::vector<float> coarse_scores;
-        std::vector<const float *> query_ptrs(kCoarseBlock);
-        std::vector<float *> score_ptrs(kCoarseBlock);
-        for (std::size_t base = 0; base < num_queries;
-             base += kCoarseBlock) {
-            const std::size_t block =
-                std::min(kCoarseBlock, num_queries - base);
+    std::vector<ProbePlan> plans(num_queries);
+    // Block the batch so the Q x nlist score tile stays modest.
+    constexpr std::size_t kCoarseBlock = 64;
+    std::vector<float> coarse_scores;
+    std::vector<const float *> query_ptrs(kCoarseBlock);
+    std::vector<float *> score_ptrs(kCoarseBlock, nullptr);
+    for (std::size_t base = 0; base < num_queries; base += kCoarseBlock) {
+        const std::size_t block = std::min(kCoarseBlock, num_queries - base);
+        if (!coarse_graph_) {
             coarse_scores.resize(block * config_.nlist);
             for (std::size_t b = 0; b < block; ++b) {
                 query_ptrs[b] = queries.row(base + b).data();
@@ -354,38 +323,31 @@ IvfIndex::searchBatch(const vecstore::Matrix &queries, std::size_t k,
             vecstore::l2SqBatchMulti(query_ptrs.data(), block,
                                      centroids_.data(), config_.nlist,
                                      dim_, score_ptrs.data());
-            for (std::size_t b = 0; b < block; ++b) {
-                vecstore::TopK coarse(nprobe);
-                const float *scores = score_ptrs[b];
-                for (std::size_t c = 0; c < config_.nlist; ++c) {
-                    coarse.push(static_cast<vecstore::VecId>(c),
-                                scores[c]);
-                }
-                probe = coarse.take();
-                buildProbeSequence(base + b);
-            }
+        }
+        for (std::size_t b = 0; b < block; ++b) {
+            planProbes(queries.row(base + b), score_ptrs[b], params,
+                       plans[base + b]);
         }
     }
-    h_coarse.observe(timer.elapsedMicros());
+    histograms.coarse.observe(timer.elapsedMicros());
     timer.reset();
 
     // -------------------------------------------------------------------
     // Scan phase. Queries are partitioned into execution groups whose
-    // buffered scores fit kScoreBufferCap; within a group, (query, rank)
-    // subscriptions are sorted by list id and each list is scanned once
-    // via scanMulti with exact-score thresholds. Each query then replays
-    // its pushBatch calls in coarse-rank order, reproducing the
+    // buffered scores fit kScoreBufferCap (32 MiB); within a group,
+    // (query, list) subscriptions are sorted by list id and each list is
+    // scanned once via scanMulti with exact-score thresholds. Each query
+    // then replays its pushBatch calls in plan order, reproducing the
     // per-query TopK feed (and its first-come tie behavior) bit for bit.
     // -------------------------------------------------------------------
-    constexpr std::size_t kScoreBufferCap = std::size_t(32) << 20;
+    constexpr std::size_t kScoreBufferCap = std::size_t(8) << 20; // floats
     struct Subscription
     {
         std::uint32_t list;
         std::uint32_t query; // batch-relative index
-        std::uint32_t rank;  // position in the query's probe sequence
+        std::size_t offset;  // the visit's segment in the score buffer
     };
-    std::uint64_t total_probed = 0;
-    std::uint64_t total_scanned = 0;
+    SearchStats total;
     std::vector<float> buffer;
     std::vector<Subscription> subs;
     std::vector<std::unique_ptr<quant::DistanceComputer>> computers;
@@ -396,27 +358,26 @@ IvfIndex::searchBatch(const vecstore::Matrix &queries, std::size_t k,
     std::size_t group_begin = 0;
     while (group_begin < num_queries) {
         std::size_t group_end = group_begin;
-        std::size_t group_bytes = 0;
+        std::size_t group_scores = 0;
         while (group_end < num_queries &&
                (group_end == group_begin ||
-                group_bytes + scan_bytes[group_end] <= kScoreBufferCap)) {
-            group_bytes += scan_bytes[group_end];
+                group_scores + plans[group_end].scanned <= kScoreBufferCap)) {
+            group_scores += plans[group_end].scanned;
             ++group_end;
         }
 
-        // Assign buffer segments and collect subscriptions.
+        // Lay the group's visits out in the buffer, in (query, plan)
+        // order, and collect subscriptions.
         subs.clear();
         std::size_t offset = 0;
         for (std::size_t qi = group_begin; qi < group_end; ++qi) {
-            auto &seq = probes[qi];
-            for (std::size_t r = 0; r < seq.size(); ++r) {
-                if (seq[r].len == 0)
+            for (const auto &visit : plans[qi].visits) {
+                if (visit.len == 0)
                     continue;
-                seq[r].offset = offset;
-                offset += seq[r].len;
-                subs.push_back({seq[r].list,
+                subs.push_back({visit.list,
                                 static_cast<std::uint32_t>(qi - group_begin),
-                                static_cast<std::uint32_t>(r)});
+                                offset});
+                offset += visit.len;
             }
         }
         buffer.resize(offset);
@@ -441,58 +402,43 @@ IvfIndex::searchBatch(const vecstore::Matrix &queries, std::size_t k,
             while (e < subs.size() && subs[e].list == subs[s].list)
                 ++e;
             const ListRef il = listRef(subs[s].list);
-            const std::size_t len = il.size;
             const std::size_t m = e - s;
             peer_ptrs.resize(m);
             out_ptrs.resize(m);
             thresholds.assign(m, std::numeric_limits<float>::max());
             for (std::size_t t = 0; t < m; ++t) {
-                const auto &sub = subs[s + t];
-                peer_ptrs[t] = computers[sub.query].get();
-                out_ptrs[t] =
-                    buffer.data() +
-                    probes[group_begin + sub.query][sub.rank].offset;
+                peer_ptrs[t] = computers[subs[s + t].query].get();
+                out_ptrs[t] = buffer.data() + subs[s + t].offset;
             }
-            peer_ptrs[0]->scanMulti(peer_ptrs.data(), m, il.codes, len,
+            peer_ptrs[0]->scanMulti(peer_ptrs.data(), m, il.codes, il.size,
                                     thresholds.data(), out_ptrs.data());
             s = e;
         }
 
-        // Per-query emit: replay the buffered segments in coarse-rank
-        // order into a fresh TopK — identical pushes, identical ties.
+        // Per-query emit: replay the buffered segments in plan order
+        // into a fresh TopK — identical pushes, identical ties.
+        offset = 0;
         for (std::size_t qi = group_begin; qi < group_end; ++qi) {
             vecstore::TopK selector(std::max<std::size_t>(k, 1));
-            std::uint64_t scanned = 0;
-            const auto &seq = probes[qi];
-            for (const auto &entry : seq) {
-                if (entry.len > 0) {
-                    selector.pushBatch(listRef(entry.list).ids,
-                                       buffer.data() + entry.offset,
-                                       entry.len);
-                }
-                scanned += entry.len;
+            for (const auto &visit : plans[qi].visits) {
+                selector.pushBatch(listRef(visit.list).ids,
+                                   buffer.data() + offset, visit.len);
+                offset += visit.len;
             }
             auto hits = selector.take();
             if (hits.size() > k)
                 hits.resize(k);
             results[qi] = std::move(hits);
 
-            total_probed += seq.size();
-            total_scanned += scanned;
-            if (per_query) {
-                auto &st = (*per_query)[qi];
-                st.lists_probed += seq.size();
-                st.vectors_scanned += scanned;
-                st.distance_computations += scanned + coarse_evals[qi];
-                st.bytes_scanned += scanned * code_size;
-            }
+            foldStats(plans[qi], &total);
+            foldStats(plans[qi], per_query ? &(*per_query)[qi] : nullptr);
         }
         group_begin = group_end;
     }
 
-    h_scan.observe(timer.elapsedMicros());
-    span.arg("lists_probed", total_probed);
-    span.arg("vectors_scanned", total_scanned);
+    histograms.scan.observe(timer.elapsedMicros());
+    span.arg("lists_probed", total.lists_probed);
+    span.arg("vectors_scanned", total.vectors_scanned);
     return results;
 }
 
@@ -594,8 +540,9 @@ IvfIndex::listSize(std::size_t list) const
     return listRef(list).size;
 }
 
-void
-IvfIndex::save(const std::string &path) const
+std::unique_ptr<ivff::IndexFileWriter>
+IvfIndex::openFile(const std::string &path,
+                   const std::vector<std::uint64_t> &counts) const
 {
     // Codec parameters first: the blob's size is part of the layout.
     std::ostringstream blob_stream;
@@ -609,45 +556,79 @@ IvfIndex::save(const std::string &path) const
     meta.metric = metric_;
     meta.dim = dim_;
     meta.nlist = config_.nlist;
-    meta.ntotal = ntotal_;
+    meta.ntotal = std::accumulate(counts.begin(), counts.end(),
+                                  std::uint64_t(0));
     meta.code_size = codec_->codeSize();
     meta.n_centroids = centroids_.rows();
     meta.trained = trained_;
     meta.hnsw_coarse = config_.hnsw_coarse;
     meta.codec_spec = config_.codec;
 
+    auto w = std::make_unique<ivff::IndexFileWriter>(path, meta, counts,
+                                                     blob.size());
+    if (centroids_.rows() > 0) {
+        w->write(w->sectionOffset(ivff::kCentroids), centroids_.data(),
+                 centroids_.rows() * dim_ * sizeof(float));
+    }
+    if (!blob.empty())
+        w->write(w->sectionOffset(ivff::kCodecParams), blob.data(),
+                 blob.size());
+    return w;
+}
+
+void
+IvfIndex::save(const std::string &path) const
+{
     std::vector<std::uint64_t> counts(config_.nlist);
     for (std::size_t l = 0; l < config_.nlist; ++l)
         counts[l] = listRef(l).size;
 
-    ivff::IndexFileWriter w(path, meta, counts, blob.size());
-    if (centroids_.rows() > 0) {
-        w.write(w.sectionOffset(ivff::kCentroids), centroids_.data(),
-                centroids_.rows() * dim_ * sizeof(float));
-    }
-    const std::uint64_t ids_base = w.sectionOffset(ivff::kIds);
-    const std::uint64_t codes_base = w.sectionOffset(ivff::kCodes);
+    auto w = openFile(path, counts);
+    const std::uint64_t ids_base = w->sectionOffset(ivff::kIds);
+    const std::uint64_t codes_base = w->sectionOffset(ivff::kCodes);
     const std::size_t code_size = codec_->codeSize();
-    const auto &table = w.table();
+    const auto &table = w->table();
     for (std::size_t l = 0; l < config_.nlist; ++l) {
         const ListRef il = listRef(l);
         if (il.size == 0)
             continue;
-        w.write(ids_base + table[l].offset * sizeof(vecstore::VecId),
-                il.ids, il.size * sizeof(vecstore::VecId));
-        w.write(codes_base + table[l].offset * code_size, il.codes,
-                il.size * code_size);
+        w->write(ids_base + table[l].offset * sizeof(vecstore::VecId),
+                 il.ids, il.size * sizeof(vecstore::VecId));
+        w->write(codes_base + table[l].offset * code_size, il.codes,
+                 il.size * code_size);
     }
-    if (!blob.empty())
-        w.write(w.sectionOffset(ivff::kCodecParams), blob.data(),
-                blob.size());
-    w.finish();
+    w->finish();
 }
 
 std::unique_ptr<IvfIndex>
-IvfIndex::fromParsed(const ivff::ParsedIndex &parsed,
-                     const std::string &path)
+IvfIndex::load(const std::string &path)
 {
+    // One parser and one list reader for both paths: load() maps the
+    // file just long enough to validate it and copy every list out
+    // through listRef() into heap-owned lists.
+    auto idx = openMapped(path);
+    const std::size_t code_size = idx->codec_->codeSize();
+    for (std::size_t l = 0; l < idx->config_.nlist; ++l) {
+        const ListRef mapped = idx->listRef(l);
+        auto &il = idx->lists_[l];
+        il.ids.assign(mapped.ids, mapped.ids + mapped.size);
+        il.codes.assign(mapped.codes, mapped.codes + mapped.size * code_size);
+    }
+    idx->mapped_.reset();
+    return idx;
+}
+
+std::unique_ptr<IvfIndex>
+IvfIndex::openMapped(const std::string &path)
+{
+    return openMapped(path, MmapOptions());
+}
+
+std::unique_ptr<IvfIndex>
+IvfIndex::openMapped(const std::string &path, const MmapOptions &options)
+{
+    util::MmapFile file(path);
+    auto parsed = ivff::parseIndexFile(file, options.verify_checksums);
     const ivff::IndexMeta &meta = parsed.meta;
     IvfConfig config;
     config.nlist = static_cast<std::size_t>(meta.nlist);
@@ -695,42 +676,9 @@ IvfIndex::fromParsed(const ivff::ParsedIndex &parsed,
             util::FormatErrorCode::Corrupt,
             path + ": codec code size disagrees with header");
     }
-    return idx;
-}
-
-std::unique_ptr<IvfIndex>
-IvfIndex::load(const std::string &path)
-{
-    // One parser for both paths: load() maps the file just long enough
-    // to validate and copy it into heap-owned lists.
-    util::MmapFile file(path);
-    auto parsed = ivff::parseIndexFile(file);
-    auto idx = fromParsed(parsed, path);
-    const std::size_t code_size = idx->codec_->codeSize();
-    for (std::size_t l = 0; l < idx->config_.nlist; ++l) {
-        const ivff::ListEntry &e = parsed.list_table[l];
-        auto &il = idx->lists_[l];
-        il.ids.assign(parsed.ids + e.offset, parsed.ids + e.offset + e.count);
-        il.codes.assign(parsed.codes + e.offset * code_size,
-                        parsed.codes + (e.offset + e.count) * code_size);
-    }
     if (idx->config_.hnsw_coarse && idx->trained_)
         rebuildCoarseGraph(idx->dim_, idx->centroids_, idx->coarse_graph_);
-    return idx;
-}
 
-std::unique_ptr<IvfIndex>
-IvfIndex::openMapped(const std::string &path)
-{
-    return openMapped(path, MmapOptions());
-}
-
-std::unique_ptr<IvfIndex>
-IvfIndex::openMapped(const std::string &path, const MmapOptions &options)
-{
-    util::MmapFile file(path);
-    auto parsed = ivff::parseIndexFile(file, options.verify_checksums);
-    auto idx = fromParsed(parsed, path);
     // The parsed pointers target the mapping itself; moving the
     // MmapFile moves ownership, not the mapped address, so they stay
     // valid for the life of mapped_.
@@ -740,8 +688,6 @@ IvfIndex::openMapped(const std::string &path, const MmapOptions &options)
                     static_cast<std::size_t>(parsed.meta.code_size)});
     if (options.prefault)
         idx->mapped_->file.advise(util::MapAdvice::WillNeed);
-    if (idx->config_.hnsw_coarse && idx->trained_)
-        rebuildCoarseGraph(idx->dim_, idx->centroids_, idx->coarse_graph_);
     return idx;
 }
 

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -93,8 +94,8 @@ class IvfIndex : public AnnIndex
      * once for all subscribed queries via the multi-query codec kernels.
      * Hit lists and per-query stats are bit-identical to calling
      * search() per query: coarse scores come from the same reduction
-     * orders, per-query prune bounds and probe order are unchanged, and
-     * each query's TopK is fed its lists in the same coarse-rank order.
+     * orders, both execute the same probe plan (planProbes), and each
+     * query's TopK is fed its lists in the same coarse-rank order.
      */
     std::vector<vecstore::HitList>
     searchBatch(const vecstore::Matrix &queries, std::size_t k,
@@ -190,9 +191,58 @@ class IvfIndex : public AnnIndex
     static std::size_t suggestedNlist(std::size_t n);
 
   private:
+    // Writes through the same row encoder and file header as add()/save().
+    friend class IvfStreamWriter;
+
     void addImpl(const vecstore::Matrix &data,
                  const std::vector<vecstore::VecId> &ids,
                  util::ThreadPool *pool);
+
+    /** Receives one encoded row: (row index, list, code bytes). */
+    using RowSink =
+        std::function<void(std::size_t, std::uint32_t, const std::uint8_t *)>;
+
+    /**
+     * The row encoder of add() and IvfStreamWriter::add: nearest-centroid
+     * assignment and encoding, fanned out over @p pool when one is given,
+     * then every row handed to @p sink in row order (pool-invariant).
+     */
+    void encodeRows(const vecstore::Matrix &data, util::ThreadPool *pool,
+                    const RowSink &sink) const;
+
+    /**
+     * The file header of save() and IvfStreamWriter::finish: a v3 writer
+     * laid out for @p counts vectors per list, with the header fields,
+     * centroids and codec parameters written. The caller writes the
+     * lists and calls finish().
+     */
+    std::unique_ptr<ivff::IndexFileWriter>
+    openFile(const std::string &path,
+             const std::vector<std::uint64_t> &counts) const;
+
+    /** One query's probe plan: the lists to scan, best-first. */
+    struct ProbePlan
+    {
+        struct Visit
+        {
+            std::uint32_t list;
+            std::size_t len;
+        };
+        std::vector<Visit> visits;
+        std::uint64_t coarse_evals = 0; ///< coarse distance evaluations
+        std::uint64_t scanned = 0;      ///< sum of the visits' lengths
+    };
+
+    /**
+     * The plan search() and searchBatch() both execute: rank centroids by
+     * @p coarse_scores (nullptr: walk the HNSW coarse graph over @p query
+     * instead), keep the nprobe best, cut at the prune bound.
+     */
+    void planProbes(vecstore::VecView query, const float *coarse_scores,
+                    const SearchParams &params, ProbePlan &plan) const;
+
+    /** Add one executed plan's work counters to @p stats (may be null). */
+    void foldStats(const ProbePlan &plan, SearchStats *stats) const;
 
     struct InvertedList
     {
@@ -225,10 +275,6 @@ class IvfIndex : public AnnIndex
 
     /** Throws std::logic_error when this index is a mapped view. */
     void assertMutable(const char *op) const;
-
-    /** Shared header->index construction for load()/openMapped(). */
-    static std::unique_ptr<IvfIndex>
-    fromParsed(const ivff::ParsedIndex &parsed, const std::string &path);
 
     std::size_t dim_;
     vecstore::Metric metric_;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
-#include "cluster/kmeans.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
 
@@ -68,41 +66,24 @@ IvfStreamWriter::add(const vecstore::Matrix &data,
     HERMES_ASSERT(data.dim() == prototype_.dim(),
                   "stream add: dim mismatch");
 
-    const std::size_t n = data.rows();
-    const auto &centroids = prototype_.centroids();
-    const quant::Codec &codec = prototype_.codec();
-
-    // Same phase split as IvfIndex::addImpl: per-row assign/encode is
-    // pool-parallel, the ordered spill stays sequential, so the record
-    // stream is identical with or without a pool.
-    std::vector<std::uint32_t> assign(n);
-    std::vector<std::uint8_t> codes(n * code_size_);
-    auto assignAndEncode = [&](std::size_t i) {
-        auto v = data.row(i);
-        assign[i] = cluster::nearestCentroid(v, centroids);
-        codec.encode(v, codes.data() + i * code_size_);
-    };
-    if (pool != nullptr) {
-        pool->parallelFor(n, assignAndEncode);
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            assignAndEncode(i);
-    }
-
+    // The prototype's row encoder (the one add() uses) hands rows over in
+    // order, so the record stream is identical with or without a pool.
     std::vector<std::uint8_t> record(kRecordHeadBytes + code_size_);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::memcpy(record.data(), &assign[i], sizeof(std::uint32_t));
-        std::memcpy(record.data() + sizeof(std::uint32_t), &ids[i],
-                    sizeof(vecstore::VecId));
-        std::memcpy(record.data() + kRecordHeadBytes,
-                    codes.data() + i * code_size_, code_size_);
-        if (std::fwrite(record.data(), record.size(), 1, spill_) != 1) {
-            throw util::FormatError(util::FormatErrorCode::Io,
-                                    spill_path_ + ": spill write failed");
-        }
-        ++counts_[assign[i]];
-    }
-    ntotal_ += n;
+    prototype_.encodeRows(
+        data, pool,
+        [&](std::size_t i, std::uint32_t list, const std::uint8_t *code) {
+            std::memcpy(record.data(), &list, sizeof(list));
+            std::memcpy(record.data() + sizeof(list), &ids[i],
+                        sizeof(vecstore::VecId));
+            std::memcpy(record.data() + kRecordHeadBytes, code, code_size_);
+            if (std::fwrite(record.data(), record.size(), 1, spill_) != 1) {
+                throw util::FormatError(util::FormatErrorCode::Io,
+                                        spill_path_ +
+                                            ": spill write failed");
+            }
+            ++counts_[list];
+        });
+    ntotal_ += ids.size();
 }
 
 std::uint64_t
@@ -111,69 +92,34 @@ IvfStreamWriter::finish()
     HERMES_ASSERT(!finished_, "IvfStreamWriter::finish called twice");
     finished_ = true;
 
-    std::ostringstream blob_stream;
-    {
-        util::BinaryWriter bw(blob_stream);
-        prototype_.codec().save(bw);
-    }
-    const std::string blob = blob_stream.str();
-
-    const IvfConfig &config = prototype_.config();
-    ivff::IndexMeta meta;
-    meta.metric = prototype_.metric();
-    meta.dim = prototype_.dim();
-    meta.nlist = config.nlist;
-    meta.ntotal = ntotal_;
-    meta.code_size = code_size_;
-    meta.n_centroids = prototype_.centroids().rows();
-    meta.trained = true;
-    meta.hnsw_coarse = config.hnsw_coarse;
-    meta.codec_spec = config.codec;
-
-    ivff::IndexFileWriter w(path_, meta, counts_, blob.size());
-    if (meta.n_centroids > 0) {
-        w.write(w.sectionOffset(ivff::kCentroids),
-                prototype_.centroids().data(),
-                meta.n_centroids * meta.dim * sizeof(float));
-    }
-    if (!blob.empty())
-        w.write(w.sectionOffset(ivff::kCodecParams), blob.data(),
-                blob.size());
+    auto w = prototype_.openFile(path_, counts_);
 
     // Scatter pass: replay the spill in arrival order, buffering per
     // list and flushing whole buffers with positioned writes. Arrival
     // order per list is preserved, so bytes match a save() of the
     // equivalent add()-built index exactly.
-    const std::uint64_t ids_base = w.sectionOffset(ivff::kIds);
-    const std::uint64_t codes_base = w.sectionOffset(ivff::kCodes);
-    const auto &table = w.table();
+    const std::uint64_t ids_base = w->sectionOffset(ivff::kIds);
+    const std::uint64_t codes_base = w->sectionOffset(ivff::kCodes);
+    const auto &table = w->table();
     const std::size_t nlist = counts_.size();
 
-    struct ListBuffer
-    {
-        std::vector<vecstore::VecId> ids;
-        std::vector<std::uint8_t> codes;
-    };
-    std::vector<ListBuffer> buffers(nlist);
+    std::vector<IvfIndex::InvertedList> buffers(nlist);
     std::vector<std::uint64_t> written(nlist, 0);
     std::size_t buffered_bytes = 0;
 
     auto flushList = [&](std::size_t l) {
-        ListBuffer &buf = buffers[l];
+        IvfIndex::InvertedList &buf = buffers[l];
         const std::size_t m = buf.ids.size();
         if (m == 0)
             return;
         const std::uint64_t at = table[l].offset + written[l];
-        w.write(ids_base + at * sizeof(vecstore::VecId), buf.ids.data(),
-                m * sizeof(vecstore::VecId));
-        w.write(codes_base + at * code_size_, buf.codes.data(),
-                m * code_size_);
+        w->write(ids_base + at * sizeof(vecstore::VecId), buf.ids.data(),
+                 m * sizeof(vecstore::VecId));
+        w->write(codes_base + at * code_size_, buf.codes.data(),
+                 m * code_size_);
         written[l] += m;
         buffered_bytes -= m * (sizeof(vecstore::VecId) + code_size_);
-        buf.ids.clear();
-        buf.codes.clear();
-        buf.ids.shrink_to_fit();
-        buf.codes.shrink_to_fit();
+        buf = IvfIndex::InvertedList(); // release the flushed capacity
     };
 
     if (std::fflush(spill_) != 0 || std::fseek(spill_, 0, SEEK_SET) != 0) {
@@ -199,7 +145,7 @@ IvfStreamWriter::finish()
             vecstore::VecId id;
             std::memcpy(&list, rec, sizeof(list));
             std::memcpy(&id, rec + sizeof(list), sizeof(id));
-            ListBuffer &buf = buffers[list];
+            IvfIndex::InvertedList &buf = buffers[list];
             buf.ids.push_back(id);
             buf.codes.insert(buf.codes.end(), rec + kRecordHeadBytes,
                              rec + stride);
@@ -214,7 +160,7 @@ IvfStreamWriter::finish()
     for (std::size_t l = 0; l < nlist; ++l)
         flushList(l);
 
-    w.finish();
+    w->finish();
     std::fclose(spill_);
     spill_ = nullptr;
     std::remove(spill_path_.c_str());

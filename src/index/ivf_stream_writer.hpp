@@ -61,8 +61,9 @@ class IvfStreamWriter
     IvfStreamWriter &operator=(const IvfStreamWriter &) = delete;
 
     /**
-     * Assign + encode + spill one batch. Rows land in the output
-     * exactly as the same add() call on the prototype would place them.
+     * Assign + encode + spill one batch through the prototype's own row
+     * encoder, so rows land in the output exactly as the same add()
+     * call on the prototype would place them.
      * @param pool Optional pool to fan the per-row assign/encode over
      *             (the spill stays sequential, so results are
      *             pool-invariant).
@@ -72,8 +73,9 @@ class IvfStreamWriter
              util::ThreadPool *pool = nullptr);
 
     /**
-     * Scatter the spilled records into the final file, write checksums
-     * and header, delete the spill file.
+     * Open the output through the prototype's file header (the one
+     * save() writes), scatter the spilled records into their lists,
+     * write checksums, delete the spill file.
      * @return Total vectors written.
      */
     std::uint64_t finish();

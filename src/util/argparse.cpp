@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/logging.hpp"
 
@@ -125,6 +126,15 @@ ArgParser::printHelp() const
                     flag.default_value.empty() ? "\"\""
                                                : flag.default_value.c_str());
     }
+}
+
+const char *
+matchOption(const char *arg, const char *name)
+{
+    std::size_t len = std::strlen(name);
+    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
+        return arg + len + 1;
+    return nullptr;
 }
 
 } // namespace util

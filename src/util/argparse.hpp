@@ -71,5 +71,14 @@ class ArgParser
     std::vector<std::string> order_;
 };
 
+/**
+ * Match one `--name=value` argument for hand-rolled argv loops (binaries
+ * that mix such options with positional arguments).
+ * @param arg  One argv entry.
+ * @param name Option name with its dashes, e.g. "--port".
+ * @return The value after '=', or nullptr when @p arg is not @p name=.
+ */
+const char *matchOption(const char *arg, const char *name);
+
 } // namespace util
 } // namespace hermes

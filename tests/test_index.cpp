@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
+#include "cluster/kmeans.hpp"
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
 #include "index/flat_index.hpp"
@@ -18,6 +20,7 @@
 #include "serve/node.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
+#include "vecstore/distance.hpp"
 #include "vecstore/simd_dispatch.hpp"
 #include "workload/corpus.hpp"
 
@@ -635,6 +638,128 @@ TEST(IvfBatchParity, HnswCoarseBatchMatchesPerQuery)
         expectBatchMatchesPerQuery(ivf, queries, 10, params,
                                    "hnsw_coarse prune=" +
                                        std::to_string(prune));
+    }
+}
+
+/**
+ * Independent oracle for the IVF probe plan: list membership, coarse
+ * ranking, the nprobe cut and the prune bound are rebuilt from the
+ * public API only, so a change to the plan both executors share shows
+ * up here even though the batch-vs-single parity tests would still
+ * agree with themselves.
+ */
+TEST(IvfIndex, PlanMatchesOracle)
+{
+    const std::size_t d = 24;
+    const std::size_t nlist = 16;
+    const std::size_t k = 10;
+    auto base = randomMatrix(1500, d, 81);
+    auto queries = randomMatrix(9, d, 82);
+    IvfConfig config;
+    config.nlist = nlist;
+    config.codec = "Flat";
+    IvfIndex ivf(d, Metric::L2, config);
+    ivf.train(base);
+    ivf.addSequential(base);
+
+    std::vector<std::vector<vecstore::VecId>> members(nlist);
+    for (std::size_t i = 0; i < base.rows(); ++i) {
+        members[cluster::nearestCentroid(base.row(i), ivf.centroids())]
+            .push_back(static_cast<vecstore::VecId>(i));
+    }
+    for (std::size_t l = 0; l < nlist; ++l)
+        ASSERT_EQ(ivf.listSize(l), members[l].size()) << "list " << l;
+
+    IsaGuard guard;
+    for (const char *arm : {"scalar", "avx2"}) {
+        if (!vecstore::simd::forceIsaForTesting(arm))
+            continue;
+        for (double prune : {0.0, 1.2}) {
+            for (std::size_t nprobe : {1, 5, 16}) {
+                const std::string what = std::string(arm) + " prune=" +
+                                         std::to_string(prune) +
+                                         " nprobe=" + std::to_string(nprobe);
+                SearchParams params;
+                params.nprobe = nprobe;
+                params.prune_ratio = prune;
+                params.batch_min_scan_floats = 0;
+                std::vector<SearchStats> batch_stats;
+                auto batch = ivf.searchBatch(queries, k, params, &batch_stats);
+                ASSERT_EQ(batch.size(), queries.rows()) << what;
+
+                for (std::size_t q = 0; q < queries.rows(); ++q) {
+                    // Coarse ranking by (score, id), nprobe cut, prune.
+                    std::vector<float> scores(nlist);
+                    vecstore::l2SqBatch(queries.row(q).data(),
+                                        ivf.centroids().data(), nlist, d,
+                                        scores.data());
+                    std::vector<std::size_t> order(nlist);
+                    for (std::size_t c = 0; c < nlist; ++c)
+                        order[c] = c;
+                    std::sort(order.begin(), order.end(),
+                              [&](std::size_t a, std::size_t b) {
+                                  if (scores[a] != scores[b])
+                                      return scores[a] < scores[b];
+                                  return a < b;
+                              });
+                    order.resize(nprobe);
+                    const float best = scores[order.front()];
+                    const float bound =
+                        prune > 0.0 ? static_cast<float>(prune) * best
+                                    : std::numeric_limits<float>::max();
+
+                    vecstore::HitList candidates;
+                    std::uint64_t probed = 0;
+                    for (std::size_t c : order) {
+                        if (scores[c] > bound)
+                            break;
+                        ++probed;
+                        for (vecstore::VecId id : members[c]) {
+                            const auto row =
+                                base.row(static_cast<std::size_t>(id));
+                            candidates.push_back(
+                                {id, vecstore::l2Sq(queries.row(q).data(),
+                                                    row.data(), d)});
+                        }
+                    }
+                    const std::uint64_t scanned = candidates.size();
+                    std::sort(candidates.begin(), candidates.end(),
+                              [](const vecstore::Hit &a,
+                                 const vecstore::Hit &b) {
+                                  if (a.score != b.score)
+                                      return a.score < b.score;
+                                  return a.id < b.id;
+                              });
+                    if (candidates.size() > k)
+                        candidates.resize(k);
+
+                    auto expectOracle = [&](const vecstore::HitList &hits,
+                                            const SearchStats &stats,
+                                            const std::string &path) {
+                        const std::string at =
+                            what + " " + path + " q=" + std::to_string(q);
+                        ASSERT_EQ(hits.size(), candidates.size()) << at;
+                        for (std::size_t i = 0; i < candidates.size(); ++i) {
+                            EXPECT_EQ(hits[i].id, candidates[i].id)
+                                << at << " rank=" << i;
+                        }
+                        EXPECT_EQ(stats.lists_probed, probed) << at;
+                        EXPECT_EQ(stats.vectors_scanned, scanned) << at;
+                        EXPECT_EQ(stats.distance_computations,
+                                  scanned + nlist)
+                            << at;
+                        EXPECT_EQ(stats.bytes_scanned,
+                                  scanned * d * sizeof(float))
+                            << at;
+                    };
+                    SearchStats single_stats;
+                    auto single =
+                        ivf.search(queries.row(q), k, params, &single_stats);
+                    expectOracle(single, single_stats, "search");
+                    expectOracle(batch[q], batch_stats[q], "searchBatch");
+                }
+            }
+        }
     }
 }
 

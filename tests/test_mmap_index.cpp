@@ -233,6 +233,31 @@ TEST(MmapView, IsReadOnly)
     std::filesystem::remove(path);
 }
 
+TEST(MmapView, LoadedIndexIsHeapOwnedAndMutable)
+{
+    // load() reads through the mapped view, then drops the mapping: the
+    // result owns its lists, re-saves to the same bytes, and mutates.
+    const auto &data = sharedData();
+    auto built = buildIndex("SQ8", Metric::L2);
+    auto path = tempIndexPath("loaded_heap");
+    auto resaved = tempIndexPath("loaded_heap_resaved");
+    built.save(path.string());
+    auto heap = IvfIndex::load(path.string());
+    ASSERT_FALSE(heap->isMapped());
+    EXPECT_EQ(heap->mappedBytes(), 0u);
+    EXPECT_EQ(heap->memoryBytes(), built.memoryBytes());
+    heap->save(resaved.string());
+    EXPECT_EQ(readFile(path), readFile(resaved));
+
+    EXPECT_EQ(heap->removeIds({0, 1}), 2u);
+    Matrix rows(data.base.dim());
+    rows.append(data.base.row(0));
+    heap->add(rows, {0});
+    EXPECT_EQ(heap->size(), built.size() - 1);
+    std::filesystem::remove(path);
+    std::filesystem::remove(resaved);
+}
+
 TEST(MmapView, ReportsMappingFootprint)
 {
     auto built = buildIndex("SQ8", Metric::L2);
@@ -387,45 +412,64 @@ TEST(MmapConcurrency, ConcurrentReadersShareOneMapping)
  */
 TEST(StreamWriter, ByteIdenticalToSave)
 {
+    // One row per header field the shared writer owns: the codec spec
+    // and its parameter blob, the metric, and the hnsw_coarse flag.
+    struct Row
+    {
+        const char *codec;
+        Metric metric;
+        bool hnsw_coarse;
+    };
+    const Row table[] = {
+        {"SQ8", Metric::L2, false},
+        {"PQ4", Metric::InnerProduct, false},
+        {"Flat", Metric::L2, true},
+    };
     const auto &data = sharedData();
-    IvfConfig config;
-    config.nlist = 16;
-    config.codec = "SQ8";
+    for (const Row &row : table) {
+        SCOPED_TRACE(std::string(row.codec) + "/" +
+                     vecstore::metricName(row.metric) +
+                     (row.hnsw_coarse ? "/hnsw_coarse" : "/linear"));
+        IvfConfig config;
+        config.nlist = 16;
+        config.codec = row.codec;
+        config.hnsw_coarse = row.hnsw_coarse;
 
-    IvfIndex reference(data.base.dim(), Metric::L2, config);
-    reference.train(data.base);
-    reference.addSequential(data.base);
-    auto ref_path = tempIndexPath("stream_ref");
-    reference.save(ref_path.string());
+        IvfIndex reference(data.base.dim(), row.metric, config);
+        reference.train(data.base);
+        reference.addSequential(data.base);
+        auto ref_path = tempIndexPath("stream_ref");
+        reference.save(ref_path.string());
 
-    IvfIndex prototype(data.base.dim(), Metric::L2, config);
-    prototype.train(data.base);
+        IvfIndex prototype(data.base.dim(), row.metric, config);
+        prototype.train(data.base);
 
-    auto stream_path = tempIndexPath("stream_out");
-    IvfStreamWriter::Options options;
-    options.buffer_budget_bytes = 1024; // force repeated flushes
-    util::ThreadPool pool;
-    IvfStreamWriter writer(prototype, stream_path.string(), options);
-    const std::size_t batch = 257; // deliberately odd split
-    for (std::size_t at = 0; at < data.base.rows(); at += batch) {
-        const std::size_t n = std::min(batch, data.base.rows() - at);
-        Matrix rows(data.base.dim());
-        std::vector<vecstore::VecId> ids;
-        for (std::size_t i = 0; i < n; ++i) {
-            rows.append(data.base.row(at + i));
-            ids.push_back(static_cast<vecstore::VecId>(at + i));
+        auto stream_path = tempIndexPath("stream_out");
+        IvfStreamWriter::Options options;
+        options.buffer_budget_bytes = 1024; // force repeated flushes
+        util::ThreadPool pool;
+        IvfStreamWriter writer(prototype, stream_path.string(), options);
+        const std::size_t batch = 257; // deliberately odd split
+        for (std::size_t at = 0; at < data.base.rows(); at += batch) {
+            const std::size_t n = std::min(batch, data.base.rows() - at);
+            Matrix rows(data.base.dim());
+            std::vector<vecstore::VecId> ids;
+            for (std::size_t i = 0; i < n; ++i) {
+                rows.append(data.base.row(at + i));
+                ids.push_back(static_cast<vecstore::VecId>(at + i));
+            }
+            writer.add(rows, ids, &pool);
         }
-        writer.add(rows, ids, &pool);
+        EXPECT_EQ(writer.finish(), data.base.rows());
+
+        EXPECT_EQ(readFile(ref_path), readFile(stream_path));
+
+        // And the streamed file round-trips through the mmap searcher.
+        auto mapped = IvfIndex::openMapped(stream_path.string());
+        expectSearchParity(reference, *mapped);
+        std::filesystem::remove(ref_path);
+        std::filesystem::remove(stream_path);
     }
-    EXPECT_EQ(writer.finish(), data.base.rows());
-
-    EXPECT_EQ(readFile(ref_path), readFile(stream_path));
-
-    // And the streamed file round-trips through the mmap searcher.
-    auto mapped = IvfIndex::openMapped(stream_path.string());
-    expectSearchParity(reference, *mapped);
-    std::filesystem::remove(ref_path);
-    std::filesystem::remove(stream_path);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <numeric>
 
+#include "util/argparse.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/minijson.hpp"
@@ -267,6 +268,17 @@ TEST(Logging, RuntimeLevelRoundTrip)
     HERMES_DEBUG("debug smoke message");
     EXPECT_EQ(logLevel(), LogLevel::Debug);
     setLogLevel(prev);
+}
+
+TEST(ArgParse, MatchOptionTakesOnlyNameEqualsValue)
+{
+    using hermes::util::matchOption;
+    EXPECT_STREQ(matchOption("--port=7000", "--port"), "7000");
+    EXPECT_STREQ(matchOption("--port=", "--port"), "");
+    EXPECT_EQ(matchOption("--port", "--port"), nullptr);
+    EXPECT_EQ(matchOption("--portal=1", "--port"), nullptr);
+    EXPECT_EQ(matchOption("--por=1", "--port"), nullptr);
+    EXPECT_EQ(matchOption("7000", "--port"), nullptr);
 }
 
 TEST(Csv, WritesEscapedRows)

@@ -62,7 +62,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,8 +69,11 @@
 #include <vector>
 
 #include "hermes/hermes.hpp"
+#include "util/argparse.hpp"
 
 namespace {
+
+using hermes::util::matchOption;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -79,15 +81,6 @@ void
 onSignal(int)
 {
     g_stop = 1;
-}
-
-const char *
-matchOption(const char *arg, const char *name)
-{
-    std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
 }
 
 } // namespace

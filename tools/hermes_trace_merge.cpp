@@ -27,7 +27,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,17 +34,11 @@
 
 #include "obs/exporter.hpp"
 #include "serve/trace_merge.hpp"
+#include "util/argparse.hpp"
 
 namespace {
 
-const char *
-matchOption(const char *arg, const char *name)
-{
-    std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
-}
+using hermes::util::matchOption;
 
 bool
 readFile(const std::string &path, std::string &out)
