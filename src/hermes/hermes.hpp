@@ -19,7 +19,6 @@
 #include "core/config.hpp"
 #include "core/distributed_store.hpp"
 #include "core/manifest.hpp"
-#include "core/rerank.hpp"
 #include "core/search_strategy.hpp"
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/rerank.hpp"
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"

@@ -1,7 +1,6 @@
 #include "serve/node.hpp"
 
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -11,6 +10,117 @@
 
 namespace hermes {
 namespace serve {
+
+namespace {
+
+std::exception_ptr
+shuttingDown()
+{
+    return std::make_exception_ptr(
+        std::runtime_error("request queue shutting down"));
+}
+
+/** True when @p a and @p b can share one searchBatch call / RPC. */
+bool
+sameGroup(const NodeRequest &a, const NodeRequest &b)
+{
+    return a.k == b.k && a.params == b.params &&
+        a.query.size() == b.query.size();
+}
+
+} // namespace
+
+obs::TraceContextSnapshot
+firstTraced(const std::vector<NodeRequest> &group)
+{
+    for (const auto &request : group) {
+        if (request.trace.active)
+            return request.trace;
+    }
+    return {};
+}
+
+std::future<NodeResponse>
+RequestQueue::push(vecstore::VecView query, std::size_t k,
+                   const index::SearchParams &params)
+{
+    NodeRequest request;
+    request.query.assign(query.begin(), query.end());
+    request.k = k;
+    request.params = params;
+    request.enqueued = std::chrono::steady_clock::now();
+    request.trace = obs::currentTraceContext();
+    auto future = request.promise.get_future();
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (closed_) {
+            request.promise.set_exception(shuttingDown());
+            return future;
+        }
+        queue_.push_back(std::move(request));
+    }
+    cv_.notify_one();
+    return future;
+}
+
+std::vector<NodeRequest>
+RequestQueue::popGroup(std::size_t max, double window_us)
+{
+    const auto window =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::micro>(window_us));
+    auto full = [&] { // max requests compatible with the oldest queued?
+        std::size_t compatible = 0;
+        for (const auto &request : queue_)
+            compatible += sameGroup(request, queue_.front()) ? 1 : 0;
+        return compatible >= max;
+    };
+    std::unique_lock<std::mutex> lock(mutex_);
+    do {
+        cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
+        if (window_us > 0.0 && !closed_) {
+            // Micro-batching: hold the pop open until max compatible
+            // requests are waiting or the oldest one has aged past the
+            // window, bounding its added latency to the window.
+            cv_.wait_until(lock, queue_.front().enqueued + window, [&] {
+                return closed_ || queue_.empty() || full();
+            });
+        }
+        if (closed_)
+            return {};
+    } while (queue_.empty()); // another worker took it: wait afresh
+    std::vector<NodeRequest> group;
+    for (auto it = queue_.begin(); it != queue_.end() && group.size() < max;) {
+        if (group.empty() || sameGroup(*it, group.front())) {
+            group.push_back(std::move(*it));
+            it = queue_.erase(it);
+        } else {
+            ++it;
+        }
+    }
+    return group;
+}
+
+std::size_t
+RequestQueue::depth() const
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    return queue_.size();
+}
+
+void
+RequestQueue::close()
+{
+    std::deque<NodeRequest> abandoned;
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        closed_ = true;
+        abandoned.swap(queue_);
+    }
+    cv_.notify_all();
+    for (auto &request : abandoned)
+        request.promise.set_exception(shuttingDown());
+}
 
 RetrievalNode::RetrievalNode(const index::AnnIndex &shard,
                              const NodeConfig &config)
@@ -23,11 +133,7 @@ RetrievalNode::RetrievalNode(const index::AnnIndex &shard,
 
 RetrievalNode::~RetrievalNode()
 {
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    cv_.notify_all();
+    queue_.close();
     worker_.join();
     // Parked promises of dropped requests die here; any caller still
     // holding such a future sees a broken_promise error, not a hang.
@@ -39,20 +145,7 @@ RetrievalNode::submit(vecstore::VecView query, std::size_t k,
 {
     HERMES_ASSERT(query.size() == shard_.dim(),
                   "node: query dim mismatch");
-    Request request;
-    request.query.assign(query.begin(), query.end());
-    request.k = k;
-    request.params = params;
-    request.enqueued = std::chrono::steady_clock::now();
-    request.trace = obs::currentTraceContext();
-    auto future = request.promise.get_future();
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        HERMES_ASSERT(!stopping_, "submit to a stopping node");
-        queue_.push_back(std::move(request));
-    }
-    cv_.notify_one();
-    return future;
+    return queue_.push(query, k, params);
 }
 
 void
@@ -79,42 +172,19 @@ RetrievalNode::workerLoop()
         (cpu.tdp_watts - cpu.idle_watts) / static_cast<double>(cpu.cores);
 
     for (;;) {
-        std::vector<Request> batch;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty() && stopping_)
-                return;
-            if (config_.batch_window_us > 0.0 && !stopping_ &&
-                queue_.size() < config_.max_batch) {
-                // Micro-batching: hold the drain open until max_batch
-                // requests are waiting or the oldest one has aged past
-                // the window, bounding its added latency to the window.
-                auto deadline =
-                    queue_.front().enqueued +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::micro>(
-                            config_.batch_window_us));
-                cv_.wait_until(lock, deadline, [this] {
-                    return stopping_ ||
-                           queue_.size() >= config_.max_batch;
-                });
-            }
-            while (!queue_.empty() && batch.size() < config_.max_batch) {
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-            queue_depth_gauge.set(static_cast<double>(queue_.size()));
-        }
-        occupancy.observe(static_cast<double>(batch.size()));
+        std::vector<NodeRequest> group =
+            queue_.popGroup(config_.max_batch, config_.batch_window_us);
+        if (group.empty())
+            return; // closed
+        queue_depth_gauge.set(static_cast<double>(queue_.depth()));
+        occupancy.observe(static_cast<double>(group.size()));
         HERMES_DEBUG("node ", config_.node_id, ": drained batch of ",
-                     batch.size());
+                     group.size());
 
         // Queue wait per request: submit() to drain, the "time in line"
         // half of node latency (batch execution below is the other half).
         auto drained = std::chrono::steady_clock::now();
-        for (const auto &request : batch) {
+        for (const auto &request : group) {
             queue_wait.observe(
                 std::chrono::duration<double, std::micro>(
                     drained - request.enqueued).count());
@@ -124,34 +194,29 @@ RetrievalNode::workerLoop()
                 request.trace);
         }
 
-        // Per-request outcome, computed before any promise is fulfilled.
-        enum class Outcome { Ok, Failed, Dropped };
         util::Timer timer;
         std::uint64_t scanned = 0;
         std::uint64_t hits = 0;
         std::uint64_t failures = 0;
         std::uint64_t dropped = 0;
-        std::vector<NodeResponse> responses(batch.size());
-        std::vector<std::exception_ptr> errors(batch.size());
-        std::vector<Outcome> outcomes(batch.size(), Outcome::Ok);
+        // Failed after the stats update below.
+        std::vector<std::promise<NodeResponse>> injected;
 
-        // Fault pre-pass in drain order: the injected-fault stream must
-        // be consumed one roll per request in arrival order, so the same
-        // seed produces the same fail/drop/delay decisions regardless of
-        // how the surviving requests are grouped for execution below.
+        // Fault pre-pass in pop order: the injected-fault stream is
+        // consumed one roll per request, so the same seed and the same
+        // pops produce the same fail/drop/delay decisions. Survivors
+        // stay in the group, in order.
         if (faults.enabled()) {
-            for (std::size_t i = 0; i < batch.size(); ++i) {
+            std::vector<NodeRequest> survivors;
+            for (auto &request : group) {
                 double roll = fault_rng_.uniform();
                 if (roll < faults.fail_probability) {
-                    outcomes[i] = Outcome::Failed;
-                    errors[i] = std::make_exception_ptr(std::runtime_error(
-                        "injected node fault"));
-                    ++failures;
+                    injected.push_back(std::move(request.promise));
                     continue;
                 }
                 if (roll < faults.fail_probability +
                                faults.drop_probability) {
-                    outcomes[i] = Outcome::Dropped;
+                    dropped_.push_back(std::move(request.promise));
                     ++dropped;
                     continue;
                 }
@@ -163,14 +228,21 @@ RetrievalNode::workerLoop()
                         std::chrono::duration<double, std::milli>(
                             faults.delay_ms));
                 }
+                survivors.push_back(std::move(request));
             }
+            group.swap(survivors);
+            failures += injected.size();
         }
+
+        // Per-survivor outcome: a response, or the exception to hand on.
+        std::vector<NodeResponse> responses(group.size());
+        std::vector<std::exception_ptr> errors(group.size());
 
         // Single-request execution (also the fallback if a batched group
         // throws): identical spans and error handling to the pre-batched
         // serving path.
         auto runSingle = [&](std::size_t i) {
-            auto &request = batch[i];
+            auto &request = group[i];
             obs::TraceContext trace_context(request.trace);
             obs::ScopedSpan span("node.search");
             span.arg("cluster",
@@ -188,110 +260,72 @@ RetrievalNode::workerLoop()
             } catch (...) {
                 // A failing shard must never leave a broken future or
                 // kill the worker: hand the exception to the caller.
-                outcomes[i] = Outcome::Failed;
                 errors[i] = std::current_exception();
                 ++failures;
             }
         };
 
-        // Group surviving requests by search parameters: requests that
-        // share k and every SearchParams field can ride one
-        // list-major searchBatch call. First-occurrence order keeps the
-        // schedule deterministic.
-        struct Group
-        {
-            std::size_t k;
-            index::SearchParams params;
-            std::vector<std::size_t> members;
-        };
-        std::vector<Group> groups;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (outcomes[i] != Outcome::Ok)
-                continue;
-            const auto &request = batch[i];
-            Group *group = nullptr;
-            for (auto &g : groups) {
-                if (g.k == request.k && g.params == request.params) {
-                    group = &g;
-                    break;
-                }
-            }
-            if (group == nullptr) {
-                groups.push_back({request.k, request.params, {}});
-                group = &groups.back();
-            }
-            group->members.push_back(i);
-        }
-
-        // Hardware-counter attribution for the shard scan phase — the
-        // whole execution sweep over this batch (no-op unless --perf).
-        std::optional<obs::PerfScope> scan_perf;
-        scan_perf.emplace(obs::PerfPhase::Scan);
-        for (const auto &group : groups) {
-            if (group.members.size() == 1) {
-                runSingle(group.members[0]);
-                continue;
-            }
-            obs::TraceContextSnapshot group_ctx; // first traced member
-            for (std::size_t i : group.members) {
-                if (batch[i].trace.active) {
-                    group_ctx = batch[i].trace;
-                    break;
-                }
-            }
-            vecstore::Matrix group_queries(shard_.dim());
-            group_queries.reserveRows(group.members.size());
-            for (std::size_t i : group.members) {
-                group_queries.append(vecstore::VecView(
-                    batch[i].query.data(), batch[i].query.size()));
+        // Run the whole group through one list-major searchBatch; false
+        // when it throws, so the caller retries member by member.
+        auto runBatch = [&] {
+            vecstore::Matrix queries(shard_.dim());
+            queries.reserveRows(group.size());
+            for (const auto &request : group) {
+                queries.append(vecstore::VecView(request.query.data(),
+                                                 request.query.size()));
             }
             std::vector<index::SearchStats> per_stats;
-            std::vector<vecstore::HitList> group_hits;
-            bool batched_ok = true;
+            std::vector<vecstore::HitList> batch_hits;
             auto exec_start = std::chrono::steady_clock::now();
             {
                 // One batch-level span; per-request node.search child
                 // spans are back-filled below so traces keep one
                 // node.search per request either way.
-                obs::TraceContext trace_context(group_ctx);
+                obs::TraceContext trace_context(firstTraced(group));
                 obs::ScopedSpan span("node.search_batch");
                 span.arg("cluster",
                          static_cast<std::uint64_t>(config_.node_id));
                 span.arg("requests",
-                         static_cast<std::uint64_t>(group.members.size()));
+                         static_cast<std::uint64_t>(group.size()));
                 try {
-                    group_hits = shard_.searchBatch(group_queries, group.k,
-                                                    group.params,
-                                                    &per_stats);
+                    batch_hits = shard_.searchBatch(
+                        queries, group.front().k, group.front().params,
+                        &per_stats);
                 } catch (...) {
-                    batched_ok = false;
+                    return false;
                 }
             }
-            if (!batched_ok) {
-                // The batch faulted as a unit; retry requests one at a
-                // time so a single poisoned query only fails itself.
-                for (std::size_t i : group.members)
-                    runSingle(i);
-                continue;
-            }
             auto exec_end = std::chrono::steady_clock::now();
-            for (std::size_t m = 0; m < group.members.size(); ++m) {
-                const std::size_t i = group.members[m];
-                responses[i].hits = std::move(group_hits[m]);
-                responses[i].stats = per_stats[m];
+            for (std::size_t i = 0; i < group.size(); ++i) {
+                responses[i].hits = std::move(batch_hits[i]);
+                responses[i].stats = per_stats[i];
                 scanned += responses[i].stats.vectors_scanned;
                 hits += responses[i].hits.size();
                 obs::TraceRecorder::instance().addSpan(
                     "node.search", exec_start, exec_end,
                     {{"cluster", std::to_string(config_.node_id), true},
-                     {"k", std::to_string(batch[i].k), true},
+                     {"k", std::to_string(group[i].k), true},
                      {"vectors_scanned",
                       std::to_string(responses[i].stats.vectors_scanned),
                       true}},
-                    batch[i].trace);
+                    group[i].trace);
+            }
+            return true;
+        };
+
+        {
+            // Hardware-counter attribution for the shard scan phase —
+            // the whole execution of this group (no-op unless --perf).
+            obs::PerfScope scan_perf(obs::PerfPhase::Scan);
+            if (group.size() == 1) {
+                runSingle(0);
+            } else if (group.size() > 1 && !runBatch()) {
+                // The batch faulted as a unit: retry requests one at a
+                // time so a single poisoned query only fails itself.
+                for (std::size_t i = 0; i < group.size(); ++i)
+                    runSingle(i);
             }
         }
-        scan_perf.reset();
         double elapsed = timer.elapsedSeconds();
         batch_exec.observe(elapsed * 1e6);
         double joules = elapsed * dynamic_watts_per_core;
@@ -301,8 +335,8 @@ RetrievalNode::workerLoop()
         // Record statistics before fulfilling promises so a caller that
         // observes its response also observes the stats that produced it.
         {
-            std::unique_lock<std::mutex> lock(mutex_);
-            stats_.requests += batch.size();
+            std::unique_lock<std::mutex> lock(stats_mutex_);
+            stats_.requests += group.size() + injected.size() + dropped;
             stats_.batches += 1;
             stats_.busy_seconds += elapsed;
             stats_.vectors_scanned += scanned;
@@ -311,18 +345,15 @@ RetrievalNode::workerLoop()
             stats_.hits_returned += hits;
             stats_.energy_joules += joules;
         }
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            switch (outcomes[i]) {
-              case Outcome::Ok:
-                batch[i].promise.set_value(std::move(responses[i]));
-                break;
-              case Outcome::Failed:
-                batch[i].promise.set_exception(errors[i]);
-                break;
-              case Outcome::Dropped:
-                dropped_.push_back(std::move(batch[i].promise));
-                break;
-            }
+        for (std::size_t i = 0; i < group.size(); ++i) {
+            if (errors[i])
+                group[i].promise.set_exception(errors[i]);
+            else
+                group[i].promise.set_value(std::move(responses[i]));
+        }
+        for (auto &promise : injected) {
+            promise.set_exception(std::make_exception_ptr(
+                std::runtime_error("injected node fault")));
         }
     }
 }
@@ -330,15 +361,8 @@ RetrievalNode::workerLoop()
 NodeStats
 RetrievalNode::stats() const
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(stats_mutex_);
     return stats_;
-}
-
-std::size_t
-RetrievalNode::queueDepth() const
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    return queue_.size();
 }
 
 } // namespace serve

@@ -1,13 +1,18 @@
 /**
  * @file
- * A retrieval node: one cluster index behind an asynchronous request
- * queue with its own worker thread.
+ * A retrieval node: one cluster index behind the serving layer's
+ * request queue, with its own worker thread.
  *
  * This is the online-serving half of the paper's system (Fig 9 right):
  * each similarity cluster's IVF index lives on its own node; the broker
  * (serve/broker.hpp) fans sampling and deep-search requests out to nodes
  * and aggregates. Within a node, queued requests are drained in batches,
  * mirroring FAISS's batch scheduling.
+ *
+ * RequestQueue is the one request queue of the serving layer: the node's
+ * worker and RemoteNodeClient's connection workers (serve/remote_node.hpp)
+ * both loop "pop a compatible group, execute it". Only the executor
+ * differs: a shard search here, one SearchBatch RPC there.
  *
  * Fault model: a shard search that throws fulfils the request's promise
  * via set_exception, so the caller sees the error instead of a broken
@@ -86,14 +91,14 @@ struct NodeConfig
     /**
      * Micro-batching window in microseconds (0 = off). After the first
      * request of a round arrives, the worker keeps the drain open until
-     * either max_batch requests are queued or the *oldest* waiting
-     * request has been enqueued for this long — so the added latency per
-     * request is bounded by the window. Coalesced requests with equal
-     * (k, nprobe, ef_search, prune_ratio) are executed through the
-     * shard's list-major searchBatch, amortizing hot-list scans across
-     * the batch (paper §6 throughput mode). Grouped execution happens
-     * whenever a drain yields multiple compatible requests, window or
-     * not; the window only makes such drains likelier under load.
+     * either max_batch requests compatible with the oldest are queued or
+     * the *oldest* one has been enqueued for this long — so the added
+     * latency per request is bounded by the window. A round executes one
+     * compatible group (equal k, SearchParams, dim) through the shard's
+     * list-major searchBatch, amortizing hot-list scans across the batch
+     * (paper §6 throughput mode). That happens whenever several
+     * compatible requests are queued, window or not; the window only
+     * makes it likelier under load.
      */
     double batch_window_us = 0.0;
 
@@ -124,7 +129,7 @@ struct NodeStats
     /** Requests completed. */
     std::uint64_t requests = 0;
 
-    /** Processing rounds executed. */
+    /** Processing rounds executed (one compatible group each). */
     std::uint64_t batches = 0;
 
     /** Total seconds spent searching. */
@@ -149,6 +154,66 @@ struct NodeStats
     double energy_joules = 0.0;
 };
 
+/** One queued search, as RequestQueue::push copied it. */
+struct NodeRequest
+{
+    std::vector<float> query;
+    std::size_t k = 0;
+    index::SearchParams params;
+    std::promise<NodeResponse> promise;
+
+    /** Enqueue time, for the queue-wait histogram and trace span. */
+    std::chrono::steady_clock::time_point enqueued;
+
+    /** Submitting thread's trace context (identity + parent span),
+     *  re-adopted on the worker thread so this request's spans stay
+     *  in the submitter's trace — which may have started in another
+     *  process when the submitter is a ShardServer handler. */
+    obs::TraceContextSnapshot trace;
+};
+
+/** First traced member's context (inactive if none): the parent of a
+ *  group's one batch-level span. */
+obs::TraceContextSnapshot firstTraced(const std::vector<NodeRequest> &group);
+
+/**
+ * The serving layer's request queue: any number of producers push, any
+ * number of workers pop compatible groups. A pop takes the oldest
+ * request plus every queued request with the same (k, SearchParams,
+ * dim), in arrival order, up to a cap, so a group can ride one
+ * list-major searchBatch (or one SearchBatch RPC); the rest keep their
+ * place. close() fails every queued request and every later push with
+ * "shutting down"; popped requests are their worker's to complete.
+ */
+class RequestQueue
+{
+  public:
+    /** Enqueue a copy of @p query; on a closed queue the future
+     *  already holds the shutdown error. */
+    std::future<NodeResponse> push(vecstore::VecView query, std::size_t k,
+                                   const index::SearchParams &params);
+
+    /**
+     * Block until a request is queued, then take the oldest request's
+     * group of at most @p max. With @p window_us > 0, first hold until
+     * @p max such requests are queued or the oldest has waited
+     * @p window_us. Empty only once the queue is closed.
+     */
+    std::vector<NodeRequest> popGroup(std::size_t max, double window_us);
+
+    /** Requests currently queued. */
+    std::size_t depth() const;
+
+    /** Fail every queued request, reject later pushes, wake workers. */
+    void close();
+
+  private:
+    mutable std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<NodeRequest> queue_;
+    bool closed_ = false;
+};
+
 /**
  * Asynchronous wrapper around one shard index.
  *
@@ -168,14 +233,15 @@ class RetrievalNode
     RetrievalNode(const RetrievalNode &) = delete;
     RetrievalNode &operator=(const RetrievalNode &) = delete;
 
-    /** Drains the queue and joins the worker. */
+    /** Fails queued requests, finishes the running round, joins. */
     ~RetrievalNode();
 
     /**
      * Enqueue a search. The query is copied, so the caller's buffer may
      * be reused immediately. The returned future either yields a
      * response or rethrows the shard's exception; with drop-injection
-     * it may only become ready (broken promise) at node shutdown.
+     * it may only become ready (broken promise) at node shutdown, and a
+     * request still queued at shutdown fails with "shutting down".
      */
     std::future<NodeResponse> submit(vecstore::VecView query, std::size_t k,
                                      const index::SearchParams &params);
@@ -184,38 +250,20 @@ class RetrievalNode
     NodeStats stats() const;
 
     /** Requests currently waiting in the queue. */
-    std::size_t queueDepth() const;
+    std::size_t queueDepth() const { return queue_.depth(); }
 
     /** Vectors stored on this node. */
     std::size_t shardSize() const { return shard_.size(); }
 
   private:
-    struct Request
-    {
-        std::vector<float> query;
-        std::size_t k;
-        index::SearchParams params;
-        std::promise<NodeResponse> promise;
-
-        /** Enqueue time, for the queue-wait histogram and trace span. */
-        std::chrono::steady_clock::time_point enqueued;
-
-        /** Submitting thread's trace context (identity + parent span),
-         *  re-adopted on the worker thread so this request's spans stay
-         *  in the submitter's trace — which may have started in another
-         *  process when the submitter is a ShardServer handler. */
-        obs::TraceContextSnapshot trace;
-    };
-
     void workerLoop();
 
     const index::AnnIndex &shard_;
     NodeConfig config_;
 
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<Request> queue_;
-    bool stopping_ = false;
+    RequestQueue queue_;
+
+    mutable std::mutex stats_mutex_;
     NodeStats stats_;
 
     /** Fault stream; touched only by the worker thread. */

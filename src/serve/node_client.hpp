@@ -9,6 +9,12 @@
  * return std::future<NodeResponse> from submit(), and both surface
  * failures as exceptions through the future so the broker's PR 1
  * deadline / retry / degradation machinery applies unchanged.
+ *
+ * Both placements queue in the same serve::RequestQueue
+ * (serve/node.hpp) with the same grouping rule; only the worker that
+ * executes a popped group differs (a shard search vs one SearchBatch
+ * RPC). A request still queued when its client is destroyed fails with
+ * "request queue shutting down" either way.
  */
 
 #pragma once

@@ -1,10 +1,8 @@
 #include "serve/remote_node.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
-#include "obs/metric_names.hpp"
 #include "util/logging.hpp"
 
 namespace hermes {
@@ -18,16 +16,22 @@ constexpr double kSendBudgetMs = 5000.0;
 /** Control-channel (stats/health) round-trip budget. */
 constexpr double kControlBudgetMs = 2000.0;
 
+/** Dial budget per (re)connect attempt. */
+constexpr double kConnectTimeoutMs = 500.0;
+
+/** Extra wait for a search response beyond the request's deadline. */
+constexpr double kResponseSlackMs = 1000.0;
+
+/** Search response wait cap when the request carries no deadline. */
+constexpr double kMaxResponseWaitMs = 30000.0;
+
+/** Coalescing cap per SearchBatch RPC: the node's default batch cap. */
+constexpr std::size_t kMaxBatch = NodeConfig{}.max_batch;
+
 /** Offset jump (µs) that marks a peer clock-epoch change (restart).
  *  Same-process drift + RTT noise over a serving run stays well under
  *  this; a process restart resets the trace clock by whole seconds. */
 constexpr double kEpochJumpUs = 1e6;
-
-std::runtime_error
-remoteError(const std::string &what)
-{
-    return std::runtime_error("remote node: " + what);
-}
 
 const char *
 errorCodeName(rpc::ErrorCode code)
@@ -39,6 +43,39 @@ errorCodeName(rpc::ErrorCode code)
       case rpc::ErrorCode::Shutdown: return "shutdown";
     }
     return "unknown";
+}
+
+/** Fail every request of @p group with @p reason and empty it. */
+void
+failGroup(std::vector<NodeRequest> &group, const std::string &reason)
+{
+    for (auto &request : group) {
+        request.promise.set_exception(std::make_exception_ptr(
+            std::runtime_error("remote node: " + reason)));
+    }
+    group.clear();
+}
+
+/** The one frame round trip of both channels: send within @p send_ms,
+ *  then wait up to @p recv_ms for the reply with the same @p id. On any
+ *  failure @p socket is closed, so its next use re-dials. */
+bool
+exchange(net::Socket &socket, std::uint64_t id, rpc::Type type,
+         std::string_view payload, net::Frame &reply, double send_ms,
+         double recv_ms)
+{
+    // One outstanding RPC per connection, so the reply id must match;
+    // anything else means the stream is desynced — poison the socket
+    // so the next request starts from a clean dial.
+    if (net::sendFrame(socket, static_cast<std::uint32_t>(type), id,
+                       payload, net::Deadline::after(send_ms)) ==
+            net::IoStatus::Ok &&
+        net::recvFrame(socket, reply, net::Deadline::after(recv_ms)) ==
+            net::IoStatus::Ok &&
+        reply.id == id)
+        return true;
+    socket.close();
+    return false;
 }
 
 } // namespace
@@ -85,49 +122,9 @@ RemoteNodeClient::RemoteNodeClient(RemoteNodeOptions options)
 
 RemoteNodeClient::~RemoteNodeClient()
 {
-    std::deque<Pending> abandoned;
-    {
-        std::unique_lock<std::mutex> lock(queue_mutex_);
-        stopping_ = true;
-        abandoned.swap(queue_);
-    }
-    queue_cv_.notify_all();
-    for (auto &pending : abandoned) {
-        pending.promise.set_exception(
-            std::make_exception_ptr(remoteError("client shutting down")));
-    }
+    queue_.close();
     for (auto &worker : workers_)
         worker.join();
-}
-
-std::future<NodeResponse>
-RemoteNodeClient::submit(vecstore::VecView query, std::size_t k,
-                         const index::SearchParams &params)
-{
-    Pending pending;
-    pending.query.assign(query.begin(), query.end());
-    pending.k = k;
-    pending.params = params;
-    pending.trace = obs::currentTraceContext();
-    auto future = pending.promise.get_future();
-    {
-        std::unique_lock<std::mutex> lock(queue_mutex_);
-        if (stopping_) {
-            pending.promise.set_exception(std::make_exception_ptr(
-                remoteError("client shutting down")));
-            return future;
-        }
-        queue_.push_back(std::move(pending));
-    }
-    queue_cv_.notify_one();
-    return future;
-}
-
-std::size_t
-RemoteNodeClient::queueDepth() const
-{
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    return queue_.size();
 }
 
 std::size_t
@@ -146,8 +143,8 @@ NodeStats
 RemoteNodeClient::stats() const
 {
     net::Frame reply;
-    if (!controlRoundTrip(rpc::Type::StatsRequest, {}, reply) ||
-        static_cast<rpc::Type>(reply.type) != rpc::Type::StatsResponse)
+    if (!controlRoundTrip(rpc::Type::StatsRequest, {},
+                          rpc::Type::StatsResponse, reply))
         return NodeStats{};
     try {
         rpc::StatsResponse decoded =
@@ -173,8 +170,7 @@ RemoteNodeClient::health(rpc::HealthResponse *out) const
     net::Frame reply;
     if (!controlRoundTrip(rpc::Type::HealthRequest,
                           rpc::encodeHealthRequest(rpc::kProtocolVersion),
-                          reply) ||
-        static_cast<rpc::Type>(reply.type) != rpc::Type::HealthResponse)
+                          rpc::Type::HealthResponse, reply))
         return false;
     auto t1 = obs::TraceRecorder::Clock::now();
     try {
@@ -260,63 +256,19 @@ RemoteNodeClient::clientStats() const
     return stats;
 }
 
-bool
-RemoteNodeClient::compatible(const Pending &a, const Pending &b)
-{
-    return a.k == b.k && a.params == b.params &&
-        a.query.size() == b.query.size();
-}
-
 void
 RemoteNodeClient::workerLoop()
 {
     net::Socket socket; // worker-owned connection, re-dialed on demand
     for (;;) {
-        std::vector<Pending> group;
-        {
-            std::unique_lock<std::mutex> lock(queue_mutex_);
-            queue_cv_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                if (stopping_)
-                    return;
-                continue;
-            }
-            group.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-            // Wire-level micro-batching: whatever compatible requests
-            // are already queued ride the same RPC (no added waiting —
-            // the shard's own batch window supplies the hold).
-            while (!queue_.empty() && group.size() < options_.max_batch &&
-                   compatible(queue_.front(), group.front())) {
-                group.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-        }
+        // Wire-level micro-batching: every compatible request already
+        // queued rides the same RPC (no added waiting — the shard's own
+        // batch window supplies the hold).
+        std::vector<NodeRequest> group = queue_.popGroup(kMaxBatch, 0.0);
+        if (group.empty())
+            return; // closed
         runRpc(socket, group);
     }
-}
-
-void
-RemoteNodeClient::failGroup(std::vector<Pending> &group,
-                            const std::string &reason)
-{
-    for (auto &pending : group) {
-        pending.promise.set_exception(
-            std::make_exception_ptr(remoteError(reason)));
-    }
-    group.clear();
-}
-
-void
-RemoteNodeClient::countRemoteError(rpc::ErrorCode code)
-{
-    remote_errors_.add();
-    // Error replies are rare; the per-code lookup can afford the
-    // registry lock (unlike the cached hot-path counters above).
-    obs::Registry::instance()
-        .counter(obs::names::rpcErrorMetric(errorCodeName(code)))
-        .add(1);
 }
 
 bool
@@ -326,7 +278,7 @@ RemoteNodeClient::ensureConnected(net::Socket &socket)
         return true;
     std::string error;
     socket = net::connectTo(options_.host, options_.port,
-                            options_.connect_timeout_ms, &error);
+                            kConnectTimeoutMs, &error);
     if (!socket.valid()) {
         HERMES_DEBUG("remote node dial failed: ", error);
         return false;
@@ -345,45 +297,9 @@ RemoteNodeClient::ensureConnected(net::Socket &socket)
     return true;
 }
 
-bool
-RemoteNodeClient::roundTrip(net::Socket &socket, rpc::Type type,
-                            std::string_view payload, net::Frame &reply)
-{
-    std::uint64_t id = next_id_.fetch_add(1);
-    rpcs_sent_.add();
-    m_request_bytes_.add(net::kFrameHeaderBytes + payload.size());
-    auto rpc_start = obs::TraceRecorder::Clock::now();
-    net::IoStatus sent =
-        net::sendFrame(socket, static_cast<std::uint32_t>(type), id,
-                       payload, net::Deadline::after(kSendBudgetMs));
-    if (sent != net::IoStatus::Ok) {
-        socket.close();
-        transport_failures_.add();
-        return false;
-    }
-    double budget = options_.request_deadline_ms > 0.0
-        ? options_.request_deadline_ms + options_.response_slack_ms
-        : options_.max_response_wait_ms;
-    net::IoStatus got = net::recvFrame(socket, reply,
-                                       net::Deadline::after(budget));
-    // One outstanding RPC per connection, so the reply id must match;
-    // anything else means the stream is desynced — poison the socket
-    // so the next request starts from a clean dial.
-    if (got != net::IoStatus::Ok || reply.id != id) {
-        socket.close();
-        transport_failures_.add();
-        return false;
-    }
-    m_response_bytes_.add(net::kFrameHeaderBytes + reply.payload.size());
-    m_round_trip_us_.observe(
-        std::chrono::duration<double, std::micro>(
-            obs::TraceRecorder::Clock::now() - rpc_start)
-            .count());
-    return true;
-}
-
 void
-RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
+RemoteNodeClient::runRpc(net::Socket &socket,
+                         std::vector<NodeRequest> &group)
 {
     if (!ensureConnected(socket)) {
         failGroup(group, "cannot reach " + endpoint_);
@@ -397,9 +313,9 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
     request.deadline_ms = options_.request_deadline_ms;
     request.dim = head.query.size();
     request.queries.reserve(group.size() * request.dim);
-    for (const auto &pending : group) {
-        request.queries.insert(request.queries.end(),
-                               pending.query.begin(), pending.query.end());
+    for (const auto &member : group) {
+        request.queries.insert(request.queries.end(), member.query.begin(),
+                               member.query.end());
     }
     if (group.size() > 1) {
         ++batched_rpcs_;
@@ -416,23 +332,12 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
         // on the wire, parented to their original broker-side span. The
         // scope closes before the reply is acted on, so a re-sent
         // member never runs inside another request's context.
-        std::optional<obs::TraceContext> trace_context;
-        std::optional<obs::ScopedSpan> span;
-        obs::TraceContextSnapshot span_ctx;
-        for (const auto &pending : group) {
-            if (pending.trace.active) {
-                span_ctx = pending.trace;
-                break;
-            }
-        }
-        if (span_ctx.active) {
-            trace_context.emplace(span_ctx);
-            span.emplace("rpc.search");
-            span->arg("endpoint", endpoint_);
-            span->arg("requests",
-                      static_cast<std::uint64_t>(group.size()));
-        }
-        if (span && span->active()) {
+        const obs::TraceContextSnapshot span_ctx = firstTraced(group);
+        obs::TraceContext trace_context(span_ctx);
+        obs::ScopedSpan span("rpc.search");
+        span.arg("endpoint", endpoint_);
+        span.arg("requests", static_cast<std::uint64_t>(group.size()));
+        if (span.active()) {
             request.traces.resize(group.size());
             for (std::size_t i = 0; i < group.size(); ++i) {
                 const auto &trace = group[i].trace;
@@ -440,14 +345,30 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
                     continue;
                 request.traces[i] = trace;
                 if (trace.trace_id == span_ctx.trace_id)
-                    request.traces[i].parent_span_id = span->spanId();
+                    request.traces[i].parent_span_id = span.spanId();
             }
         }
         m_batch_size_.observe(static_cast<double>(group.size()));
-        sent_ok = roundTrip(socket, rpc::Type::SearchBatchRequest,
-                            rpc::encodeSearchBatchRequest(request), reply);
+        const std::string payload = rpc::encodeSearchBatchRequest(request);
+        rpcs_sent_.add();
+        m_request_bytes_.add(net::kFrameHeaderBytes + payload.size());
+        const double response_ms = options_.request_deadline_ms > 0.0
+            ? options_.request_deadline_ms + kResponseSlackMs
+            : kMaxResponseWaitMs;
+        auto rpc_start = obs::TraceRecorder::Clock::now();
+        sent_ok = exchange(socket, next_id_++, rpc::Type::SearchBatchRequest,
+                           payload, reply, kSendBudgetMs, response_ms);
+        if (sent_ok) {
+            m_response_bytes_.add(net::kFrameHeaderBytes +
+                                  reply.payload.size());
+            m_round_trip_us_.observe(
+                std::chrono::duration<double, std::micro>(
+                    obs::TraceRecorder::Clock::now() - rpc_start)
+                    .count());
+        }
     }
     if (!sent_ok) {
+        transport_failures_.add();
         failGroup(group, "transport failure to " + endpoint_);
         return;
     }
@@ -479,7 +400,12 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
         } catch (const std::exception &e) {
             body.message = e.what();
         }
-        countRemoteError(body.code);
+        remote_errors_.add();
+        // Error replies are rare; the per-code lookup can afford the
+        // registry lock (unlike the cached hot-path counters).
+        obs::Registry::instance()
+            .counter(obs::names::rpcErrorMetric(errorCodeName(body.code)))
+            .add(1);
         if (group.size() == 1) {
             failGroup(group, body.message);
             return;
@@ -488,9 +414,9 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
         // timeout) must not fail its neighbours: re-send each request
         // as its own batch of one so only the guilty one carries the
         // error.
-        for (auto &pending : group) {
-            std::vector<Pending> single;
-            single.push_back(std::move(pending));
+        for (auto &member : group) {
+            std::vector<NodeRequest> single;
+            single.push_back(std::move(member));
             runRpc(socket, single);
         }
         group.clear();
@@ -507,44 +433,29 @@ RemoteNodeClient::runRpc(net::Socket &socket, std::vector<Pending> &group)
 bool
 RemoteNodeClient::controlRoundTrip(rpc::Type type,
                                    std::string_view payload,
-                                   net::Frame &reply) const
+                                   rpc::Type expect, net::Frame &reply) const
 {
     std::unique_lock<std::mutex> lock(control_mutex_);
-    auto attempt = [&](bool &dialed) {
-        dialed = false;
+    // Two attempts at most. A failure over a pre-existing connection
+    // usually means the socket went stale behind our back (shard
+    // restarted since the last stats call); one fresh dial answers
+    // instead of reporting the shard down. A failure right after a
+    // successful dial is final.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        bool dialed = false;
         if (!control_socket_.valid()) {
-            std::string error;
-            control_socket_ = net::connectTo(
-                options_.host, options_.port,
-                options_.connect_timeout_ms, &error);
-            if (!control_socket_.valid())
-                return false;
-            dialed = true;
+            control_socket_ = net::connectTo(options_.host, options_.port,
+                                             kConnectTimeoutMs);
+            dialed = control_socket_.valid();
         }
-        std::uint64_t id = next_id_.fetch_add(1);
-        net::IoStatus sent = net::sendFrame(
-            control_socket_, static_cast<std::uint32_t>(type), id,
-            payload, net::Deadline::after(kControlBudgetMs));
-        if (sent != net::IoStatus::Ok) {
-            control_socket_.close();
+        if (control_socket_.valid() &&
+            exchange(control_socket_, next_id_++, type, payload, reply,
+                     kControlBudgetMs, kControlBudgetMs))
+            return static_cast<rpc::Type>(reply.type) == expect;
+        if (dialed)
             return false;
-        }
-        net::IoStatus got = net::recvFrame(
-            control_socket_, reply,
-            net::Deadline::after(kControlBudgetMs));
-        if (got != net::IoStatus::Ok || reply.id != id) {
-            control_socket_.close();
-            return false;
-        }
-        return true;
-    };
-    bool dialed = false;
-    if (attempt(dialed))
-        return true;
-    // A failure over a pre-existing connection usually means the socket
-    // went stale behind our back (shard restarted since the last stats
-    // call); one fresh dial answers instead of reporting the shard down.
-    return !dialed && attempt(dialed);
+    }
+    return false;
 }
 
 } // namespace serve

@@ -9,11 +9,13 @@
  * the broker's scatter/gather, deadlines, retries and degradation run
  * exactly as they do against in-process nodes.
  *
- * Every search RPC is a SearchBatch. A worker that finds several
- * queued requests with identical (k, params) coalesces them into one
- * RPC, which the shard fans back into its node queue back-to-back — so
- * PR 5's list-major batching engages across the wire with one round
- * trip instead of Q; a lone request goes as a batch of one.
+ * Every search RPC is a SearchBatch. Requests wait in the serving
+ * layer's RequestQueue (serve/node.hpp); a worker pops the oldest one's
+ * group — every queued request with identical (k, params, dim), up to
+ * 64 — as one RPC, which the shard fans back into its node queue
+ * back-to-back. So list-major batching (DESIGN.md §8) engages across
+ * the wire with one round trip instead of Q; a lone request is a batch
+ * of one.
  *
  * Version check: every successful dial runs a Health handshake, and a
  * connection counts (and carries searches) only once the shard has
@@ -38,11 +40,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -52,7 +51,6 @@
 #include "net/net.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/node_client.hpp"
 #include "serve/rpc.hpp"
 
@@ -68,23 +66,11 @@ struct RemoteNodeOptions
     /** Pool size = max in-flight RPCs to this shard. */
     std::size_t connections = 2;
 
-    /** Dial budget per (re)connect attempt. */
-    double connect_timeout_ms = 500.0;
-
     /**
      * Deadline stamped on each request (the broker's node_deadline_ms;
      * the shard bounds its own wait by it). <= 0 = none.
      */
     double request_deadline_ms = 0.0;
-
-    /** Extra wait for the response beyond request_deadline_ms. */
-    double response_slack_ms = 1000.0;
-
-    /** Response wait cap when request_deadline_ms <= 0. */
-    double max_response_wait_ms = 30000.0;
-
-    /** Client-side coalescing cap per SearchBatch RPC. */
-    std::size_t max_batch = 64;
 };
 
 /** Client-side counters of one RemoteNodeClient (observability +
@@ -128,13 +114,16 @@ class RemoteNodeClient final : public NodeClient
 
     std::future<NodeResponse>
     submit(vecstore::VecView query, std::size_t k,
-           const index::SearchParams &params) override;
+           const index::SearchParams &params) override
+    {
+        return queue_.push(query, k, params);
+    }
 
     /** Stats RPC; zeros when the shard is unreachable. */
     NodeStats stats() const override;
 
     /** Client-side queue depth (requests not yet on the wire). */
-    std::size_t queueDepth() const override;
+    std::size_t queueDepth() const override { return queue_.depth(); }
 
     /** Shard size from the last successful Health/Stats RPC. */
     std::size_t shardSize() const override;
@@ -152,55 +141,23 @@ class RemoteNodeClient final : public NodeClient
 
     RemoteNodeClientStats clientStats() const;
 
-    const RemoteNodeOptions &options() const { return options_; }
-
   private:
-    struct Pending
-    {
-        std::vector<float> query;
-        std::size_t k = 0;
-        index::SearchParams params;
-        std::promise<NodeResponse> promise;
-
-        /** Submitter's trace context, re-opened on the I/O worker so
-         *  the rpc.* span (and the wire-injected context) chain under
-         *  the broker-side phase span. */
-        obs::TraceContextSnapshot trace;
-    };
-
     void workerLoop();
-
-    /** True when two requests can share one SearchBatch RPC. */
-    static bool compatible(const Pending &a, const Pending &b);
 
     /**
      * Run one SearchBatch RPC for @p group on @p socket ((re)dialing as
      * needed). Fulfils every promise in the group, one way or the other.
      */
-    void runRpc(net::Socket &socket, std::vector<Pending> &group);
+    void runRpc(net::Socket &socket, std::vector<NodeRequest> &group);
 
     /** Dial when @p socket is closed; true once a same-version Health
      *  handshake has succeeded (only then is the dial counted). */
     bool ensureConnected(net::Socket &socket);
 
-    /**
-     * Send @p payload as @p type and wait for the matching response
-     * frame. Returns false on transport failure (socket poisoned and
-     * closed); true with @p reply filled otherwise.
-     */
-    bool roundTrip(net::Socket &socket, rpc::Type type,
-                   std::string_view payload, net::Frame &reply);
-
-    /** Control-channel round trip (stats/health), serialized. */
+    /** Control-channel round trip (stats/health), serialized; false
+     *  unless the reply is an @p expect frame. */
     bool controlRoundTrip(rpc::Type type, std::string_view payload,
-                          net::Frame &reply) const;
-
-    static void failGroup(std::vector<Pending> &group,
-                          const std::string &reason);
-
-    /** Count a typed ErrorResponse in rpc.remote_errors + its
-     *  per-code rpc.error.<code> series. */
-    void countRemoteError(rpc::ErrorCode code);
+                          rpc::Type expect, net::Frame &reply) const;
 
     RemoteNodeOptions options_;
 
@@ -208,7 +165,7 @@ class RemoteNodeClient final : public NodeClient
     std::string endpoint_;
 
     /** Canonical rpc.* metric family (obs/metric_names.hpp), resolved
-     *  once — roundTrip() is on the per-RPC hot path. The owned counters
+     *  once — runRpc() is on the per-RPC hot path. The owned counters
      *  are this client's RemoteNodeClientStats; the rest are registry
      *  only. */
     obs::OwnedCounter<> rpcs_sent_{
@@ -230,10 +187,7 @@ class RemoteNodeClient final : public NodeClient
     obs::Histogram &m_batch_size_ =
         obs::Registry::instance().histogram(obs::names::kRpcBatchSize);
 
-    mutable std::mutex queue_mutex_;
-    std::condition_variable queue_cv_;
-    std::deque<Pending> queue_;
-    bool stopping_ = false;
+    RequestQueue queue_;
 
     std::vector<std::thread> workers_;
 

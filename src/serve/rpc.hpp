@@ -80,7 +80,7 @@ struct SearchBatchRequest
      * Client-side deadline budget in ms for the whole RPC; the shard
      * bounds its wait on the node futures by this (plus slack) so a
      * dropped request cannot wedge the connection. <= 0 means no
-     * deadline (the shard's max_wait_ms cap applies).
+     * deadline (the shard's 30 s wait cap applies).
      */
     double deadline_ms = 0.0;
     std::size_t dim = 0;

@@ -34,6 +34,11 @@ constexpr int kIdleTickMs = 100;
 /** I/O budget for one frame once bytes have started flowing. */
 constexpr double kFrameIoMs = 5000.0;
 
+/** Node wait cap for requests that carry no deadline (deadline_ms <= 0):
+ *  a fault-dropped request must not hold a connection thread hostage
+ *  forever. */
+constexpr double kMaxWaitMs = 30000.0;
+
 } // namespace
 
 ShardServer::ShardServer(const index::AnnIndex &shard,
@@ -176,9 +181,9 @@ ShardServer::handleConnection(net::Socket socket)
         if (readable != net::IoStatus::Ok)
             return;
         net::Frame frame;
-        net::IoStatus status =
-            net::recvFrame(socket, frame, net::Deadline::after(kFrameIoMs),
-                           options_.max_frame_payload);
+        net::IoStatus status = net::recvFrame(
+            socket, frame, net::Deadline::after(kFrameIoMs),
+            net::kDefaultMaxFramePayload);
         if (status != net::IoStatus::Ok)
             return; // closed, torn frame, bad magic or oversized: drop
         if (!dispatch(socket, frame))
@@ -309,7 +314,7 @@ ShardServer::handleSearch(net::Socket &socket, const net::Frame &frame)
     const net::Deadline deadline = net::Deadline::after(
         request.deadline_ms > 0.0
             ? request.deadline_ms + options_.deadline_slack_ms
-            : options_.max_wait_ms);
+            : kMaxWaitMs);
     if (request.dim != shard_.dim()) {
         return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,
                          "query dim " + std::to_string(request.dim) +

@@ -16,9 +16,12 @@
  *  - A shard search that throws (real or injected fault) answers
  *    ErrorCode::Internal; the connection survives.
  *  - A search whose node futures are not all ready within the
- *    request's deadline (plus slack), counted once from the frame's
- *    arrival, answers ErrorCode::Timeout — a dropped request can
- *    wedge neither the connection nor shutdown.
+ *    request's deadline (plus slack; 30 s when it carries none),
+ *    counted once from the frame's arrival, answers
+ *    ErrorCode::Timeout — a dropped request can wedge neither the
+ *    connection nor shutdown.
+ *  - A frame whose advertised payload exceeds
+ *    net::kDefaultMaxFramePayload drops the connection.
  *  - A Health request naming another protocol version answers
  *    ErrorCode::BadRequest.
  *  - stop() answers in-flight waits with ErrorCode::Shutdown, joins
@@ -62,16 +65,6 @@ struct ShardServerOptions
      * clock skew between client submit and server dispatch.
      */
     double deadline_slack_ms = 250.0;
-
-    /**
-     * Wait cap (ms) for requests that carry no deadline (deadline_ms
-     * <= 0): a fault-dropped request must not hold a connection thread
-     * hostage forever.
-     */
-    double max_wait_ms = 30000.0;
-
-    /** Per-frame payload cap forwarded to net::recvFrame. */
-    std::size_t max_frame_payload = net::kDefaultMaxFramePayload;
 };
 
 /** Serving statistics of one shard server. */

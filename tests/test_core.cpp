@@ -10,7 +10,6 @@
 #include <set>
 
 #include "core/distributed_store.hpp"
-#include "core/rerank.hpp"
 #include "core/search_strategy.hpp"
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
@@ -302,30 +301,6 @@ TEST(TraceBatch, PopularTopicsSkewAccessFrequency)
     auto mx = *std::max_element(counts.begin(), counts.end());
     auto mn = *std::min_element(counts.begin(), counts.end());
     EXPECT_GT(mx, mn);
-}
-
-TEST(Rerank, OrdersByInnerProduct)
-{
-    Matrix data(3, 2);
-    data.row(0)[0] = 0.1f;
-    data.row(1)[0] = 0.9f;
-    data.row(2)[0] = 0.5f;
-    std::vector<float> query{1.f, 0.f};
-    vecstore::HitList hits{{0, 0.f}, {1, 0.f}, {2, 0.f}};
-    auto reranked = rerankByInnerProduct(
-        data, vecstore::VecView(query.data(), 2), hits);
-    ASSERT_EQ(reranked.size(), 3u);
-    EXPECT_EQ(reranked[0].id, 1);
-    EXPECT_EQ(reranked[1].id, 2);
-    EXPECT_EQ(reranked[2].id, 0);
-}
-
-TEST(Rerank, EmptyInputIsEmpty)
-{
-    Matrix data(1, 2);
-    std::vector<float> query{1.f, 0.f};
-    EXPECT_TRUE(rerankByInnerProduct(
-        data, vecstore::VecView(query.data(), 2), {}).empty());
 }
 
 } // namespace

@@ -692,6 +692,64 @@ TEST(ShardRpc, ConcurrentSubmitsCoalesceIntoBatchRpcs)
     server.stop();
 }
 
+TEST(ShardRpc, InterleavedParamsCoalescePerGroup)
+{
+    // One wire, and a shard whose node delay fault holds every request
+    // 100 ms. While the first request is on the wire, 16 more queue up
+    // behind it with nprobe alternating between two values. The client
+    // sends each nprobe's 8 as one RPC, three RPCs in all, not one RPC
+    // per consecutive run of equal params (17).
+    const auto &data = netServeData();
+    const auto &shard = data.store->clusterIndex(1);
+    serve::ShardServerOptions server_options;
+    server_options.node.faults.delay_probability = 1.0;
+    server_options.node.faults.delay_ms = 100.0;
+    serve::ShardServer server(shard, server_options);
+    ASSERT_TRUE(server.start());
+
+    serve::RemoteNodeOptions options;
+    options.port = server.port();
+    options.connections = 1;
+    serve::RemoteNodeClient client(options);
+
+    index::SearchParams params[2];
+    params[0].nprobe = 2;
+    params[1].nprobe = 8;
+    std::vector<std::future<serve::NodeResponse>> futures;
+    std::vector<const index::SearchParams *> sent_params;
+    auto submit = [&](std::size_t q, const index::SearchParams &p) {
+        futures.push_back(
+            client.submit(data.queries.embeddings.row(q), 3, p));
+        sent_params.push_back(&p);
+    };
+    submit(0, params[0]);
+    for (int i = 0; i < 5000 && client.queueDepth() > 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(client.queueDepth(), 0u) << "worker never took the first";
+    for (std::size_t q = 1; q <= 16; ++q)
+        submit(q, params[q % 2]);
+
+    for (std::size_t q = 0; q < futures.size(); ++q) {
+        auto remote = futures[q].get();
+        auto direct =
+            shard.search(data.queries.embeddings.row(q), 3, *sent_params[q]);
+        ASSERT_EQ(remote.hits.size(), direct.size()) << "query " << q;
+        for (std::size_t j = 0; j < direct.size(); ++j) {
+            EXPECT_EQ(remote.hits[j].id, direct[j].id) << "query " << q;
+            EXPECT_EQ(remote.hits[j].score, direct[j].score)
+                << "query " << q;
+        }
+    }
+
+    auto cs = client.clientStats();
+    EXPECT_EQ(cs.rpcs_sent, 3u);
+    EXPECT_EQ(cs.batched_rpcs, 2u);
+    EXPECT_EQ(cs.batched_requests, 16u);
+    EXPECT_EQ(cs.transport_failures, 0u);
+    EXPECT_EQ(cs.remote_errors, 0u);
+    server.stop();
+}
+
 TEST(ShardRpc, PeerDisconnectMidResponseFailsTheFuture)
 {
     // A fake shard that accepts, reads the request frame, then hangs up

@@ -110,6 +110,41 @@ TEST_F(RerankerFixture, EmptyCandidatesStayEmpty)
     }
 }
 
+TEST(Rerank, OrdersByInnerProduct)
+{
+    // Hand-made rows with known inner products against the query (0.1,
+    // 0.9, 0.5), so the whole order and every score is pinned, not just
+    // the top hit.
+    vecstore::Matrix embeddings(3, 2);
+    embeddings.row(0)[0] = 0.1f;
+    embeddings.row(1)[0] = 0.9f;
+    embeddings.row(2)[0] = 0.5f;
+    std::vector<float> query{1.f, 0.f};
+    RerankRequest request;
+    request.query = vecstore::VecView(query.data(), query.size());
+    request.candidates = {{0, 0.f}, {1, 0.f}, {2, 0.f}};
+    auto reranked =
+        InnerProductReranker().rerank(request, embeddings, ChunkDatastore());
+    ASSERT_EQ(reranked.size(), 3u);
+    EXPECT_EQ(reranked[0].id, 1);
+    EXPECT_EQ(reranked[1].id, 2);
+    EXPECT_EQ(reranked[2].id, 0);
+    EXPECT_EQ(reranked[0].score, -0.9f);
+    EXPECT_EQ(reranked[1].score, -0.5f);
+    EXPECT_EQ(reranked[2].score, -0.1f);
+}
+
+TEST(Rerank, EmptyInputIsEmpty)
+{
+    vecstore::Matrix embeddings(1, 2);
+    std::vector<float> query{1.f, 0.f};
+    RerankRequest request;
+    request.query = vecstore::VecView(query.data(), query.size());
+    EXPECT_TRUE(InnerProductReranker()
+                    .rerank(request, embeddings, ChunkDatastore())
+                    .empty());
+}
+
 TEST(RerankerFactory, ParsesSpecs)
 {
     EXPECT_EQ(makeReranker("inner-product")->name(), "inner-product");

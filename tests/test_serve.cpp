@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -127,9 +129,10 @@ TEST(RetrievalNode, BatchesQueuedRequests)
 
 TEST(SearchParams, EqualityCoversEveryField)
 {
-    // The node's batch grouping and RemoteNodeClient's coalescing both
-    // compare params with ==, so a field it missed would let requests
-    // of different shapes share one searchBatch.
+    // The request queue's grouping rule (RetrievalNode batches and
+    // RemoteNodeClient RPCs alike) compares params with ==, so a field
+    // it missed would let requests of different shapes share one
+    // searchBatch.
     using Mutate = void (*)(index::SearchParams &);
     const std::pair<const char *, Mutate> cases[] = {
         {"nprobe", [](index::SearchParams &p) { p.nprobe += 1; }},
@@ -145,6 +148,141 @@ TEST(SearchParams, EqualityCoversEveryField)
         mutate(changed);
         EXPECT_FALSE(changed == base) << field;
     }
+}
+
+// ---------------------------------------------------------------------------
+// RequestQueue: the one queue behind RetrievalNode and RemoteNodeClient
+
+/** Push a 2-d query whose first coordinate tags it for identification. */
+std::future<serve::NodeResponse>
+pushTagged(serve::RequestQueue &queue, float tag, std::size_t k)
+{
+    const float query[2] = {tag, 0.f};
+    return queue.push(vecstore::VecView(query, 2), k, {});
+}
+
+std::vector<float>
+tagsOf(const std::vector<serve::NodeRequest> &group)
+{
+    std::vector<float> tags;
+    for (const auto &request : group)
+        tags.push_back(request.query[0]);
+    return tags;
+}
+
+TEST(RequestQueue, PopsTheOldestRequestsCompatibleGroupInArrivalOrder)
+{
+    // Arrival A B A A B (A: k = 3, B: k = 5). With max = 3 the first pop
+    // takes every A and the second both Bs; the B between As neither
+    // splits the A group nor loses its place.
+    serve::RequestQueue queue;
+    const std::size_t ks[] = {3, 5, 3, 3, 5};
+    std::vector<std::future<serve::NodeResponse>> futures;
+    for (std::size_t i = 0; i < 5; ++i)
+        futures.push_back(pushTagged(queue, float(i), ks[i]));
+    ASSERT_EQ(queue.depth(), 5u);
+
+    auto first = queue.popGroup(3, 0.0);
+    EXPECT_EQ(tagsOf(first), (std::vector<float>{0, 2, 3}));
+    EXPECT_EQ(queue.depth(), 2u);
+    auto second = queue.popGroup(3, 0.0);
+    EXPECT_EQ(tagsOf(second), (std::vector<float>{1, 4}));
+    EXPECT_EQ(queue.depth(), 0u);
+
+    // The cap holds, and params and dim split groups like k does.
+    index::SearchParams wide;
+    wide.nprobe = 9;
+    const float narrow[1] = {9.f};
+    const float wide_query[2] = {20.f, 0.f};
+    for (std::size_t i = 0; i < 4; ++i)
+        futures.push_back(pushTagged(queue, float(10 + i), 3));
+    futures.push_back(queue.push(vecstore::VecView(narrow, 1), 3, {}));
+    futures.push_back(
+        queue.push(vecstore::VecView(wide_query, 2), 3, wide));
+    EXPECT_EQ(tagsOf(queue.popGroup(3, 0.0)),
+              (std::vector<float>{10, 11, 12}));
+    EXPECT_EQ(tagsOf(queue.popGroup(3, 0.0)), (std::vector<float>{13}));
+    EXPECT_EQ(tagsOf(queue.popGroup(3, 0.0)), (std::vector<float>{9}));
+    EXPECT_EQ(tagsOf(queue.popGroup(3, 0.0)), (std::vector<float>{20}));
+    queue.close();
+}
+
+TEST(RequestQueue, WindowHoldsUntilMaxCompatibleOrTheOldestAges)
+{
+    using Clock = std::chrono::steady_clock;
+
+    // Reaching max: an incompatible arrival does not end the hold; the
+    // third compatible one does, long before the 10 s window.
+    {
+        serve::RequestQueue queue;
+        std::atomic<bool> popped{false};
+        std::vector<serve::NodeRequest> group;
+        std::thread worker([&] {
+            group = queue.popGroup(3, 10e6);
+            popped = true;
+        });
+        auto a0 = pushTagged(queue, 0, 3);
+        auto b0 = pushTagged(queue, 1, 5);
+        auto a1 = pushTagged(queue, 2, 3);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_FALSE(popped.load()) << "window released before max";
+        const auto third = Clock::now();
+        auto a2 = pushTagged(queue, 3, 3);
+        worker.join();
+        EXPECT_LT(Clock::now() - third, std::chrono::seconds(5));
+        EXPECT_EQ(tagsOf(group), (std::vector<float>{0, 2, 3}));
+        EXPECT_EQ(queue.depth(), 1u);
+        queue.close();
+    }
+
+    // Ageing: two compatible requests never reach max = 8, so the pop
+    // returns once the oldest has waited the window, not before.
+    {
+        serve::RequestQueue queue;
+        const double window_us = 30000.0;
+        auto a0 = pushTagged(queue, 0, 3);
+        auto a1 = pushTagged(queue, 1, 3);
+        auto group = queue.popGroup(8, window_us);
+        ASSERT_EQ(group.size(), 2u);
+        EXPECT_GE(Clock::now() - group.front().enqueued,
+                  std::chrono::microseconds(30000));
+        queue.close();
+    }
+
+    // A window never holds a group that is already full.
+    {
+        serve::RequestQueue queue;
+        auto a0 = pushTagged(queue, 0, 3);
+        auto a1 = pushTagged(queue, 1, 3);
+        const auto start = Clock::now();
+        EXPECT_EQ(queue.popGroup(2, 10e6).size(), 2u);
+        EXPECT_LT(Clock::now() - start, std::chrono::seconds(5));
+        queue.close();
+    }
+}
+
+TEST(RequestQueue, CloseFailsQueuedAndLaterRequestsAndWakesWorkers)
+{
+    serve::RequestQueue queue;
+    std::vector<serve::NodeRequest> woken(1);
+    std::thread worker([&] { woken = queue.popGroup(4, 10e6); });
+    auto queued = pushTagged(queue, 0, 3);
+    auto other = pushTagged(queue, 1, 5);
+    // Let the worker reach its window hold; it cannot pop before the
+    // close, since two incompatible requests never fill max = 4.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    queue.close();
+    worker.join();
+    EXPECT_TRUE(woken.empty()) << "a closed queue hands out no group";
+    EXPECT_EQ(queue.depth(), 0u);
+    EXPECT_THROW(queued.get(), std::runtime_error);
+    EXPECT_THROW(other.get(), std::runtime_error);
+
+    auto late = pushTagged(queue, 2, 3);
+    ASSERT_EQ(late.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_THROW(late.get(), std::runtime_error);
+    EXPECT_TRUE(queue.popGroup(1, 0.0).empty());
 }
 
 TEST(HermesBroker, MatchesInProcessHermesSearch)
