@@ -74,8 +74,9 @@ DistributedStore loadStore(const std::filesystem::path &dir,
                            const Manifest &manifest, HermesConfig config);
 
 /**
- * Run a loader, converting a typed format rejection into the historical
- * CLI discipline: a clean "truncated/corrupt archive" exit(1) instead of
+ * Run a loader (or a saver), converting a typed format rejection into
+ * the CLI discipline: a clean "[fatal] truncated/corrupt archive" (or
+ * "inaccessible archive" for an open/write failure) exit(1) instead of
  * an uncaught throw through std::terminate. For use at binary entry
  * points only — library code wants the FormatError itself.
  */
@@ -86,9 +87,10 @@ loadOrFatal(Fn &&fn) -> decltype(fn())
     try {
         return fn();
     } catch (const util::FormatError &e) {
-        HERMES_FATAL(e.code() == util::FormatErrorCode::Truncated
-                         ? "truncated"
-                         : "corrupt",
+        const auto code = e.code();
+        HERMES_FATAL(code == util::FormatErrorCode::Truncated ? "truncated"
+                     : code == util::FormatErrorCode::Io      ? "inaccessible"
+                                                              : "corrupt",
                      " archive: ", e.what());
     }
 }

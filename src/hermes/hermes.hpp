@@ -39,7 +39,6 @@
 #include "rag/synth_text.hpp"
 #include "net/frame.hpp"
 #include "net/net.hpp"
-#include "net/wire.hpp"
 #include "serve/broker.hpp"
 #include "serve/node.hpp"
 #include "serve/node_client.hpp"
@@ -54,6 +53,7 @@
 #include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 #include "vecstore/distance.hpp"

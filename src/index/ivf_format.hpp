@@ -38,7 +38,8 @@
  *                [0, ntotal) in list order, so bounds are total
  *   ids          ntotal * i64 external ids, list-major
  *   codes        ntotal * code_size bytes, list-major
- *   codec        codec parameter blob (util::BinaryWriter stream)
+ *   codec        codec parameter blob (util::ByteWriter bytes, read
+ *                back whole: trailing bytes are rejected)
  *
  * An empty section stores offset = 0, length = 0. The file ends exactly
  * where the last non-empty section does.

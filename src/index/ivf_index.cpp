@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -545,12 +544,9 @@ IvfIndex::openFile(const std::string &path,
                    const std::vector<std::uint64_t> &counts) const
 {
     // Codec parameters first: the blob's size is part of the layout.
-    std::ostringstream blob_stream;
-    {
-        util::BinaryWriter bw(blob_stream);
-        codec_->save(bw);
-    }
-    const std::string blob = blob_stream.str();
+    util::ByteWriter blob_writer;
+    codec_->save(blob_writer);
+    const std::string &blob = blob_writer.bytes();
 
     ivff::IndexMeta meta;
     meta.metric = metric_;
@@ -667,9 +663,13 @@ IvfIndex::openMapped(const std::string &path, const MmapOptions &options)
                                 path + ": missing codec parameters");
     }
     {
-        util::BinaryReader br(parsed.codec_blob, parsed.codec_blob_bytes,
-                              path + " (codec parameters)");
-        idx->codec_->load(br);
+        util::ByteReader blob(
+            std::string_view(
+                reinterpret_cast<const char *>(parsed.codec_blob),
+                parsed.codec_blob_bytes),
+            path + " (codec parameters)");
+        idx->codec_->load(blob);
+        blob.expectEnd();
     }
     if (idx->codec_->codeSize() != meta.code_size) {
         throw util::FormatError(

@@ -4,16 +4,16 @@
  *
  * Every message on a Hermes RPC connection is one frame:
  *
- * All integer fields are native-endian (see net/wire.hpp: both ends of
- * a fleet must share an architecture; a big-endian peer fails the magic
- * check instead of silently mis-decoding).
+ * All integer fields are native-endian (see util/serialize.hpp: both
+ * ends of a fleet must share an architecture; a big-endian peer fails
+ * the magic check instead of silently mis-decoding).
  *
  *   offset  size  field
  *   0       4     magic   "HRMF" (u32 0x464d5248 on little-endian hosts)
  *   4       4     type    message type (serve/rpc.hpp enumerates them)
  *   8       8     id      request id, echoed in the response frame
  *   16      8     length  payload bytes that follow
- *   24      len   payload wire-encoded body (net/wire.hpp)
+ *   24      len   payload body encoded by util::ByteWriter
  *
  * recvFrame() validates the magic and caps the advertised length before
  * allocating, so a garbage or hostile peer yields IoStatus::Error, not

@@ -183,25 +183,6 @@ TraceRecorder::record(TraceSpan span)
 
 void
 TraceRecorder::addSpan(std::string name, Clock::time_point start,
-                       Clock::time_point end, std::vector<TraceArg> args)
-{
-    TraceSpan span;
-    span.name = std::move(name);
-    span.tid = currentThreadId();
-    span.ts_us = toMicros(start);
-    span.dur_us =
-        std::chrono::duration<double, std::micro>(end - start).count();
-    if (traceActive()) {
-        span.trace_id = t_context.trace_id;
-        span.parent_span_id = t_context.parent_span_id;
-        span.span_id = newTraceId();
-    }
-    span.args = std::move(args);
-    record(std::move(span));
-}
-
-void
-TraceRecorder::addSpan(std::string name, Clock::time_point start,
                        Clock::time_point end, std::vector<TraceArg> args,
                        const TraceContextSnapshot &ctx)
 {

@@ -59,7 +59,7 @@ struct TraceSpan
 
     /** Query identity, shared by every span of one traced query
      *  (across threads and processes); 0 = recorded outside a trace
-     *  context (legacy addSpan, bare instants). */
+     *  context (a span handed straight to record()). */
     std::uint64_t trace_id = 0;
 
     /** This span's own id (0 for instants and context-less spans). */
@@ -130,13 +130,6 @@ class TraceRecorder
 
     /** Append a span (regardless of the thread's context). */
     void record(TraceSpan span);
-
-    /**
-     * Record a retroactive complete span from explicit timestamps.
-     * Inherits the calling thread's trace identity when it is tracing.
-     */
-    void addSpan(std::string name, Clock::time_point start,
-                 Clock::time_point end, std::vector<TraceArg> args = {});
 
     /**
      * Record a retroactive complete span under an explicit context —

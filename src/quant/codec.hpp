@@ -119,10 +119,10 @@ class Codec
     virtual std::string name() const = 0;
 
     /** Serialize codec parameters. */
-    virtual void save(util::BinaryWriter &w) const = 0;
+    virtual void save(util::ByteWriter &w) const = 0;
 
     /** Deserialize codec parameters (must match constructed shape). */
-    virtual void load(util::BinaryReader &r) = 0;
+    virtual void load(util::ByteReader &r) = 0;
 };
 
 /**

@@ -95,15 +95,15 @@ FlatCodec::distanceComputer(vecstore::Metric metric,
 }
 
 void
-FlatCodec::save(util::BinaryWriter &w) const
+FlatCodec::save(util::ByteWriter &w) const
 {
-    w.write<std::uint64_t>(dim_);
+    w.put<std::uint64_t>(dim_);
 }
 
 void
-FlatCodec::load(util::BinaryReader &r)
+FlatCodec::load(util::ByteReader &r)
 {
-    auto dim = r.read<std::uint64_t>();
+    auto dim = r.get<std::uint64_t>();
     if (dim != dim_)
         r.fail(util::FormatErrorCode::Corrupt,
                "FlatCodec dim mismatch on load");

@@ -27,8 +27,8 @@ class FlatCodec : public Codec
     distanceComputer(vecstore::Metric metric,
                      vecstore::VecView query) const override;
     std::string name() const override { return "Flat"; }
-    void save(util::BinaryWriter &w) const override;
-    void load(util::BinaryReader &r) override;
+    void save(util::ByteWriter &w) const override;
+    void load(util::ByteReader &r) override;
 
   private:
     std::size_t dim_;

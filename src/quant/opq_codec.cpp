@@ -155,23 +155,23 @@ OpqCodec::name() const
 }
 
 void
-OpqCodec::save(util::BinaryWriter &w) const
+OpqCodec::save(util::ByteWriter &w) const
 {
-    w.write<std::uint64_t>(dim_);
-    w.write<std::uint8_t>(trained_ ? 1 : 0);
-    w.writeVector(rotation_);
+    w.put<std::uint64_t>(dim_);
+    w.put<std::uint8_t>(trained_ ? 1 : 0);
+    w.putVector(rotation_);
     pq_.save(w);
 }
 
 void
-OpqCodec::load(util::BinaryReader &r)
+OpqCodec::load(util::ByteReader &r)
 {
-    auto dim = r.read<std::uint64_t>();
+    auto dim = r.get<std::uint64_t>();
     if (dim != dim_)
         r.fail(util::FormatErrorCode::Corrupt,
                "OpqCodec dim mismatch on load");
-    trained_ = r.read<std::uint8_t>() != 0;
-    rotation_ = r.readVector<float>();
+    trained_ = r.get<std::uint8_t>() != 0;
+    rotation_ = r.getVector<float>();
     if (trained_ && rotation_.size() != dim_ * dim_)
         r.fail(util::FormatErrorCode::Corrupt,
                "OpqCodec rotation matrix has the wrong size");

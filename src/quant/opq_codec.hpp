@@ -38,8 +38,8 @@ class OpqCodec : public Codec
     distanceComputer(vecstore::Metric metric,
                      vecstore::VecView query) const override;
     std::string name() const override;
-    void save(util::BinaryWriter &w) const override;
-    void load(util::BinaryReader &r) override;
+    void save(util::ByteWriter &w) const override;
+    void load(util::ByteReader &r) override;
 
     /** The learned rotation (d x d row-major); rows are orthonormal. */
     const std::vector<float> &rotation() const { return rotation_; }

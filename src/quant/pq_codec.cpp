@@ -241,24 +241,24 @@ PqCodec::name() const
 }
 
 void
-PqCodec::save(util::BinaryWriter &w) const
+PqCodec::save(util::ByteWriter &w) const
 {
-    w.write<std::uint64_t>(dim_);
-    w.write<std::uint64_t>(m_);
-    w.write<std::uint8_t>(trained_ ? 1 : 0);
-    w.writeVector(codebooks_);
+    w.put<std::uint64_t>(dim_);
+    w.put<std::uint64_t>(m_);
+    w.put<std::uint8_t>(trained_ ? 1 : 0);
+    w.putVector(codebooks_);
 }
 
 void
-PqCodec::load(util::BinaryReader &r)
+PqCodec::load(util::ByteReader &r)
 {
-    auto dim = r.read<std::uint64_t>();
-    auto m = r.read<std::uint64_t>();
+    auto dim = r.get<std::uint64_t>();
+    auto m = r.get<std::uint64_t>();
     if (dim != dim_ || m != m_)
         r.fail(util::FormatErrorCode::Corrupt,
                "PqCodec shape mismatch on load");
-    trained_ = r.read<std::uint8_t>() != 0;
-    codebooks_ = r.readVector<float>();
+    trained_ = r.get<std::uint8_t>() != 0;
+    codebooks_ = r.getVector<float>();
     // m_ sub-codebooks of kSubCodebookSize centroids of dim_/m_ floats.
     if (trained_ && codebooks_.size() != kSubCodebookSize * dim_)
         r.fail(util::FormatErrorCode::Corrupt,

@@ -39,8 +39,8 @@ class PqCodec : public Codec
     distanceComputer(vecstore::Metric metric,
                      vecstore::VecView query) const override;
     std::string name() const override;
-    void save(util::BinaryWriter &w) const override;
-    void load(util::BinaryReader &r) override;
+    void save(util::ByteWriter &w) const override;
+    void load(util::ByteReader &r) override;
 
     std::size_t numSubquantizers() const { return m_; }
     std::size_t subDim() const { return dsub_; }

@@ -241,26 +241,26 @@ ScalarCodec::name() const
 }
 
 void
-ScalarCodec::save(util::BinaryWriter &w) const
+ScalarCodec::save(util::ByteWriter &w) const
 {
-    w.write<std::uint64_t>(dim_);
-    w.write<std::int32_t>(bits_);
-    w.write<std::uint8_t>(trained_ ? 1 : 0);
-    w.writeVector(vmin_);
-    w.writeVector(vdiff_);
+    w.put<std::uint64_t>(dim_);
+    w.put<std::int32_t>(bits_);
+    w.put<std::uint8_t>(trained_ ? 1 : 0);
+    w.putVector(vmin_);
+    w.putVector(vdiff_);
 }
 
 void
-ScalarCodec::load(util::BinaryReader &r)
+ScalarCodec::load(util::ByteReader &r)
 {
-    auto dim = r.read<std::uint64_t>();
-    auto bits = r.read<std::int32_t>();
+    auto dim = r.get<std::uint64_t>();
+    auto bits = r.get<std::int32_t>();
     if (dim != dim_ || bits != bits_)
         r.fail(util::FormatErrorCode::Corrupt,
                "ScalarCodec shape mismatch on load");
-    trained_ = r.read<std::uint8_t>() != 0;
-    vmin_ = r.readVector<float>();
-    vdiff_ = r.readVector<float>();
+    trained_ = r.get<std::uint8_t>() != 0;
+    vmin_ = r.getVector<float>();
+    vdiff_ = r.getVector<float>();
     if (trained_ && (vmin_.size() != dim_ || vdiff_.size() != dim_))
         r.fail(util::FormatErrorCode::Corrupt,
                "ScalarCodec range tables have the wrong size");

@@ -37,8 +37,8 @@ class ScalarCodec : public Codec
     distanceComputer(vecstore::Metric metric,
                      vecstore::VecView query) const override;
     std::string name() const override;
-    void save(util::BinaryWriter &w) const override;
-    void load(util::BinaryReader &r) override;
+    void save(util::ByteWriter &w) const override;
+    void load(util::ByteReader &r) override;
 
     int bits() const { return bits_; }
 

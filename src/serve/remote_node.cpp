@@ -153,7 +153,7 @@ RemoteNodeClient::stats() const
             static_cast<std::size_t>(decoded.shard_vectors));
         return decoded.stats;
     } catch (const std::exception &) {
-        // std::exception, not just WireError: a decode throw of any
+        // std::exception, not just FormatError: a decode throw of any
         // kind on a broker thread must degrade, never terminate.
         return NodeStats{};
     }

@@ -13,49 +13,49 @@ constexpr std::size_t kHitWireBytes = 12;
 constexpr std::size_t kMinResponseWireBytes = 36;
 
 void
-encodeStats(net::WireWriter &writer, const index::SearchStats &stats)
+encodeStats(util::ByteWriter &writer, const index::SearchStats &stats)
 {
-    writer.u64(stats.lists_probed);
-    writer.u64(stats.vectors_scanned);
-    writer.u64(stats.distance_computations);
-    writer.u64(stats.bytes_scanned);
+    writer.put<std::uint64_t>(stats.lists_probed);
+    writer.put<std::uint64_t>(stats.vectors_scanned);
+    writer.put<std::uint64_t>(stats.distance_computations);
+    writer.put<std::uint64_t>(stats.bytes_scanned);
 }
 
 index::SearchStats
-decodeStats(net::WireReader &reader)
+decodeStats(util::ByteReader &reader)
 {
     index::SearchStats stats;
-    stats.lists_probed = reader.u64();
-    stats.vectors_scanned = reader.u64();
-    stats.distance_computations = reader.u64();
-    stats.bytes_scanned = reader.u64();
+    stats.lists_probed = reader.get<std::uint64_t>();
+    stats.vectors_scanned = reader.get<std::uint64_t>();
+    stats.distance_computations = reader.get<std::uint64_t>();
+    stats.bytes_scanned = reader.get<std::uint64_t>();
     return stats;
 }
 
 void
-encodeHits(net::WireWriter &writer, const vecstore::HitList &hits)
+encodeHits(util::ByteWriter &writer, const vecstore::HitList &hits)
 {
-    writer.u32(static_cast<std::uint32_t>(hits.size()));
+    writer.put(static_cast<std::uint32_t>(hits.size()));
     for (const auto &hit : hits) {
-        writer.i64(hit.id);
-        writer.f32(hit.score);
+        writer.put<std::int64_t>(hit.id);
+        writer.put<float>(hit.score);
     }
 }
 
 vecstore::HitList
-decodeHits(net::WireReader &reader)
+decodeHits(util::ByteReader &reader)
 {
-    std::uint32_t n = reader.u32();
+    std::uint32_t n = reader.get<std::uint32_t>();
     // Bound the claimed count by the bytes actually present before
     // reserving: a corrupt frame claiming ~4e9 hits must fail as a
-    // WireError, not as a multi-GB allocation attempt.
+    // FormatError, not as a multi-GB allocation attempt.
     reader.needCount(n, kHitWireBytes);
     vecstore::HitList hits;
     hits.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         vecstore::Hit hit;
-        hit.id = reader.i64();
-        hit.score = reader.f32();
+        hit.id = reader.get<std::int64_t>();
+        hit.score = reader.get<float>();
         hits.push_back(hit);
     }
     return hits;
@@ -66,27 +66,27 @@ decodeHits(net::WireReader &reader)
 std::string
 encodeSearchBatchRequest(const SearchBatchRequest &request)
 {
-    net::WireWriter writer;
-    writer.u64(request.k);
-    writer.u64(request.params.nprobe);
-    writer.u64(request.params.ef_search);
-    writer.f64(request.params.prune_ratio);
-    writer.u64(request.params.batch_min_scan_floats);
-    writer.f64(request.deadline_ms);
-    writer.u64(request.dim);
-    writer.floats(request.queries.data(), request.queries.size());
+    util::ByteWriter writer;
+    writer.put<std::uint64_t>(request.k);
+    writer.put<std::uint64_t>(request.params.nprobe);
+    writer.put<std::uint64_t>(request.params.ef_search);
+    writer.put<double>(request.params.prune_ratio);
+    writer.put<std::uint64_t>(request.params.batch_min_scan_floats);
+    writer.put<double>(request.deadline_ms);
+    writer.put<std::uint64_t>(request.dim);
+    writer.putVector(request.queries);
     std::uint32_t active = 0;
     for (const auto &trace : request.traces)
         active += trace.active ? 1 : 0;
     if (active > 0) {
         // Sparse trailing list: only traced slots go on the wire.
-        writer.u32(active);
+        writer.put<std::uint32_t>(active);
         for (std::size_t i = 0; i < request.traces.size(); ++i) {
             if (!request.traces[i].active)
                 continue;
-            writer.u32(static_cast<std::uint32_t>(i));
-            writer.u64(request.traces[i].trace_id);
-            writer.u64(request.traces[i].parent_span_id);
+            writer.put(static_cast<std::uint32_t>(i));
+            writer.put<std::uint64_t>(request.traces[i].trace_id);
+            writer.put<std::uint64_t>(request.traces[i].parent_span_id);
         }
     }
     return writer.take();
@@ -95,35 +95,38 @@ encodeSearchBatchRequest(const SearchBatchRequest &request)
 SearchBatchRequest
 decodeSearchBatchRequest(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload, "wire");
     SearchBatchRequest request;
-    request.k = reader.u64();
-    request.params.nprobe = reader.u64();
-    request.params.ef_search = reader.u64();
-    request.params.prune_ratio = reader.f64();
-    request.params.batch_min_scan_floats = reader.u64();
-    request.deadline_ms = reader.f64();
-    request.dim = reader.u64();
-    request.queries = reader.floats();
+    request.k = reader.get<std::uint64_t>();
+    request.params.nprobe = reader.get<std::uint64_t>();
+    request.params.ef_search = reader.get<std::uint64_t>();
+    request.params.prune_ratio = reader.get<double>();
+    request.params.batch_min_scan_floats = reader.get<std::uint64_t>();
+    request.deadline_ms = reader.get<double>();
+    request.dim = reader.get<std::uint64_t>();
+    request.queries = reader.getVector<float>();
     if (request.dim == 0 || request.queries.size() % request.dim != 0)
-        throw net::WireError("batch query block not a multiple of dim");
-    if (!reader.atEnd()) {
+        reader.fail(util::FormatErrorCode::Corrupt,
+                    "batch query block not a multiple of dim");
+    if (reader.remaining() > 0) {
         const std::size_t q = request.numQueries();
-        std::uint32_t n = reader.u32();
+        std::uint32_t n = reader.get<std::uint32_t>();
         // 20 wire bytes per entry; bound the claimed count by both the
         // remaining payload and the batch size before allocating.
         reader.needCount(n, 20);
         if (n > q)
-            throw net::WireError("more trace contexts than queries");
+            reader.fail(util::FormatErrorCode::Corrupt,
+                        "more trace contexts than queries");
         request.traces.assign(q, obs::TraceContextSnapshot{});
         for (std::uint32_t e = 0; e < n; ++e) {
-            std::uint32_t slot = reader.u32();
+            std::uint32_t slot = reader.get<std::uint32_t>();
             if (slot >= q)
-                throw net::WireError("trace context slot out of range");
+                reader.fail(util::FormatErrorCode::Corrupt,
+                            "trace context slot out of range");
             auto &trace = request.traces[slot];
             trace.active = true;
-            trace.trace_id = reader.u64();
-            trace.parent_span_id = reader.u64();
+            trace.trace_id = reader.get<std::uint64_t>();
+            trace.parent_span_id = reader.get<std::uint64_t>();
         }
     }
     reader.expectEnd();
@@ -133,8 +136,8 @@ decodeSearchBatchRequest(std::string_view payload)
 std::string
 encodeSearchBatchResponse(const std::vector<NodeResponse> &responses)
 {
-    net::WireWriter writer;
-    writer.u32(static_cast<std::uint32_t>(responses.size()));
+    util::ByteWriter writer;
+    writer.put(static_cast<std::uint32_t>(responses.size()));
     for (const auto &response : responses) {
         encodeHits(writer, response.hits);
         encodeStats(writer, response.stats);
@@ -145,8 +148,8 @@ encodeSearchBatchResponse(const std::vector<NodeResponse> &responses)
 std::vector<NodeResponse>
 decodeSearchBatchResponse(std::string_view payload)
 {
-    net::WireReader reader(payload);
-    std::uint32_t n = reader.u32();
+    util::ByteReader reader(payload, "wire");
+    std::uint32_t n = reader.get<std::uint32_t>();
     reader.needCount(n, kMinResponseWireBytes);
     std::vector<NodeResponse> responses(n);
     for (auto &response : responses) {
@@ -160,35 +163,35 @@ decodeSearchBatchResponse(std::string_view payload)
 std::string
 encodeStatsResponse(const StatsResponse &response)
 {
-    net::WireWriter writer;
-    writer.u64(response.stats.requests);
-    writer.u64(response.stats.batches);
-    writer.f64(response.stats.busy_seconds);
-    writer.u64(response.stats.vectors_scanned);
-    writer.u64(response.stats.failures);
-    writer.u64(response.stats.dropped);
-    writer.u64(response.stats.hits_returned);
-    writer.f64(response.stats.energy_joules);
-    writer.u64(response.queue_depth);
-    writer.u64(response.shard_vectors);
+    util::ByteWriter writer;
+    writer.put<std::uint64_t>(response.stats.requests);
+    writer.put<std::uint64_t>(response.stats.batches);
+    writer.put<double>(response.stats.busy_seconds);
+    writer.put<std::uint64_t>(response.stats.vectors_scanned);
+    writer.put<std::uint64_t>(response.stats.failures);
+    writer.put<std::uint64_t>(response.stats.dropped);
+    writer.put<std::uint64_t>(response.stats.hits_returned);
+    writer.put<double>(response.stats.energy_joules);
+    writer.put<std::uint64_t>(response.queue_depth);
+    writer.put<std::uint64_t>(response.shard_vectors);
     return writer.take();
 }
 
 StatsResponse
 decodeStatsResponse(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload, "wire");
     StatsResponse response;
-    response.stats.requests = reader.u64();
-    response.stats.batches = reader.u64();
-    response.stats.busy_seconds = reader.f64();
-    response.stats.vectors_scanned = reader.u64();
-    response.stats.failures = reader.u64();
-    response.stats.dropped = reader.u64();
-    response.stats.hits_returned = reader.u64();
-    response.stats.energy_joules = reader.f64();
-    response.queue_depth = reader.u64();
-    response.shard_vectors = reader.u64();
+    response.stats.requests = reader.get<std::uint64_t>();
+    response.stats.batches = reader.get<std::uint64_t>();
+    response.stats.busy_seconds = reader.get<double>();
+    response.stats.vectors_scanned = reader.get<std::uint64_t>();
+    response.stats.failures = reader.get<std::uint64_t>();
+    response.stats.dropped = reader.get<std::uint64_t>();
+    response.stats.hits_returned = reader.get<std::uint64_t>();
+    response.stats.energy_joules = reader.get<double>();
+    response.queue_depth = reader.get<std::uint64_t>();
+    response.shard_vectors = reader.get<std::uint64_t>();
     reader.expectEnd();
     return response;
 }
@@ -196,16 +199,16 @@ decodeStatsResponse(std::string_view payload)
 std::string
 encodeHealthRequest(std::uint32_t client_version)
 {
-    net::WireWriter writer;
-    writer.u32(client_version);
+    util::ByteWriter writer;
+    writer.put<std::uint32_t>(client_version);
     return writer.take();
 }
 
 std::uint32_t
 decodeHealthRequest(std::string_view payload)
 {
-    net::WireReader reader(payload);
-    std::uint32_t version = reader.u32();
+    util::ByteReader reader(payload, "wire");
+    std::uint32_t version = reader.get<std::uint32_t>();
     reader.expectEnd();
     return version;
 }
@@ -213,25 +216,25 @@ decodeHealthRequest(std::string_view payload)
 std::string
 encodeHealthResponse(const HealthResponse &response)
 {
-    net::WireWriter writer;
-    writer.u32(response.protocol_version);
-    writer.u32(response.node_id);
-    writer.u32(response.dim);
-    writer.u64(response.shard_vectors);
-    writer.f64(response.trace_now_us);
+    util::ByteWriter writer;
+    writer.put<std::uint32_t>(response.protocol_version);
+    writer.put<std::uint32_t>(response.node_id);
+    writer.put<std::uint32_t>(response.dim);
+    writer.put<std::uint64_t>(response.shard_vectors);
+    writer.put<double>(response.trace_now_us);
     return writer.take();
 }
 
 HealthResponse
 decodeHealthResponse(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload, "wire");
     HealthResponse response;
-    response.protocol_version = reader.u32();
-    response.node_id = reader.u32();
-    response.dim = reader.u32();
-    response.shard_vectors = reader.u64();
-    response.trace_now_us = reader.f64();
+    response.protocol_version = reader.get<std::uint32_t>();
+    response.node_id = reader.get<std::uint32_t>();
+    response.dim = reader.get<std::uint32_t>();
+    response.shard_vectors = reader.get<std::uint64_t>();
+    response.trace_now_us = reader.get<double>();
     reader.expectEnd();
     return response;
 }
@@ -239,19 +242,19 @@ decodeHealthResponse(std::string_view payload)
 std::string
 encodeError(ErrorCode code, const std::string &message)
 {
-    net::WireWriter writer;
-    writer.u32(static_cast<std::uint32_t>(code));
-    writer.str(message);
+    util::ByteWriter writer;
+    writer.put(static_cast<std::uint32_t>(code));
+    writer.putString(message);
     return writer.take();
 }
 
 ErrorBody
 decodeError(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload, "wire");
     ErrorBody body;
-    body.code = static_cast<ErrorCode>(reader.u32());
-    body.message = reader.str();
+    body.code = static_cast<ErrorCode>(reader.get<std::uint32_t>());
+    body.message = reader.getString();
     reader.expectEnd();
     return body;
 }

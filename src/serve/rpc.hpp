@@ -1,7 +1,7 @@
 /**
  * @file
  * The broker <-> shard RPC vocabulary: message types and their binary
- * encodings over net::Frame payloads (net/wire.hpp codec).
+ * encodings over net::Frame payloads (util::ByteWriter/ByteReader).
  *
  * Three request/response pairs carry the whole serving protocol:
  *
@@ -16,7 +16,7 @@
  * verbatim, so a client can match late responses after it has already
  * given up on them.
  *
- * Encoding invariants: decode functions throw net::WireError on any
+ * Encoding invariants: decode functions throw util::FormatError on any
  * truncated, over-long or trailing-garbage payload — a torn frame can
  * never silently decode into a shorter hit list.
  *
@@ -38,9 +38,9 @@
 #include <vector>
 
 #include "index/ann_index.hpp"
-#include "net/wire.hpp"
 #include "obs/trace.hpp"
 #include "serve/node.hpp"
+#include "util/serialize.hpp"
 
 namespace hermes {
 namespace serve {

@@ -300,7 +300,7 @@ ShardServer::handleSearch(net::Socket &socket, const net::Frame &frame)
     try {
         request = rpc::decodeSearchBatchRequest(frame.payload);
     } catch (const std::exception &e) {
-        // std::exception, not just WireError: a hostile length prefix
+        // std::exception, not just FormatError: a hostile length prefix
         // that slips past validation must surface as a BadRequest
         // reply, never escape the connection thread.
         return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,

@@ -53,98 +53,5 @@ crc32(const void *data, std::size_t n, std::uint32_t seed)
     return c ^ 0xFFFFFFFFu;
 }
 
-BinaryWriter::BinaryWriter(const std::string &path, const std::string &magic,
-                           std::uint32_t version)
-    : file_(path, std::ios::binary), out_(&file_)
-{
-    if (!file_) {
-        HERMES_FATAL("cannot open archive for writing: ", path);
-    }
-    HERMES_ASSERT(magic.size() == 4, "archive magic must be 4 chars");
-    out_->write(magic.data(), 4);
-    write(version);
-}
-
-BinaryWriter::BinaryWriter(std::ostream &out) : out_(&out) {}
-
-void
-BinaryWriter::writeString(const std::string &s)
-{
-    write<std::uint64_t>(s.size());
-    out_->write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-BinaryReader::BinaryReader(const std::string &path, const std::string &magic,
-                           std::uint32_t expected_version)
-    : file_(path, std::ios::binary), in_(&file_), path_(path)
-{
-    if (!file_) {
-        HERMES_FATAL("cannot open archive for reading: ", path);
-    }
-    in_->seekg(0, std::ios::end);
-    file_size_ = static_cast<std::uint64_t>(in_->tellg());
-    in_->seekg(0, std::ios::beg);
-    char tag[4];
-    in_->read(tag, 4);
-    if (!in_->good() || std::string(tag, 4) != magic) {
-        HERMES_FATAL("bad archive magic in ", path, " (expected ", magic, ")");
-    }
-    auto version = read<std::uint32_t>();
-    if (version != expected_version) {
-        HERMES_FATAL("archive version mismatch in ", path, ": got ", version,
-                     ", expected ", expected_version);
-    }
-}
-
-BinaryReader::BinaryReader(const void *data, std::size_t size,
-                           std::string name)
-    : mem_(std::string(static_cast<const char *>(data), size)),
-      in_(&mem_), path_(std::move(name)), file_size_(size),
-      throw_on_error_(true)
-{
-}
-
-void
-BinaryReader::fail(FormatErrorCode code, const std::string &msg)
-{
-    if (throw_on_error_) {
-        throw FormatError(code, path_ + ": " + msg);
-    }
-    // Historical file-mode discipline: corrupt CLI inputs exit with a
-    // clean message. The "truncated"/"corrupt archive" lead-ins are
-    // load-bearing for the robustness death tests.
-    HERMES_FATAL(code == FormatErrorCode::Truncated ? "truncated"
-                                                    : "corrupt",
-                 " archive ", path_, ": ", msg);
-}
-
-std::uint64_t
-BinaryReader::remainingBytes()
-{
-    auto pos = in_->tellg();
-    if (pos < 0)
-        return 0;
-    auto offset = static_cast<std::uint64_t>(pos);
-    return offset >= file_size_ ? 0 : file_size_ - offset;
-}
-
-std::string
-BinaryReader::readString()
-{
-    auto n = read<std::uint64_t>();
-    if (n > remainingBytes()) {
-        fail(FormatErrorCode::Corrupt,
-             detail::concat("string length ", n, " exceeds the ",
-                            remainingBytes(), " bytes left in the file"));
-    }
-    std::string s(n, '\0');
-    if (n) {
-        in_->read(s.data(), static_cast<std::streamsize>(n));
-        if (!in_->good())
-            fail(FormatErrorCode::Truncated, "truncated archive string");
-    }
-    return s;
-}
-
 } // namespace util
 } // namespace hermes

@@ -1,26 +1,31 @@
 /**
  * @file
- * Binary serialization for index save/load.
+ * The one byte codec: codec parameter blobs inside index files, HMAT
+ * matrix files and broker <-> shard RPC payloads are all written by
+ * ByteWriter and read back by ByteReader.
  *
- * Format: little-endian, length-prefixed, with a per-archive magic + version
- * header so stale files fail loudly instead of deserializing garbage.
+ * Encoding: values are memcpy'd in host byte order (native-endian), so
+ * writer and reader must share an architecture (every supported target
+ * is little-endian; a big-endian peer would need a handshake-level
+ * guard, not silent byte-swapping). Vectors carry a u64 element count,
+ * strings a u32 byte count.
  *
- * Two failure disciplines coexist:
- *  - File-backed readers opened with the (path, magic, version) ctor keep
- *    the historical fatal-on-corruption behavior (a CLI tool pointed at a
- *    bad file should exit with a clean message).
- *  - Memory-backed readers (used to parse untrusted sections of the v3
- *    mmap index format) throw a typed FormatError instead, so a serving
- *    process can reject a corrupt file and keep running.
+ * Failure discipline: the reader trusts nothing. A read past the end
+ * throws FormatError(Truncated); a count larger than the bytes left,
+ * leftover bytes at expectEnd() or a failed value check throws
+ * FormatError(Corrupt). Counts are checked before anything is sized
+ * from them, so a hostile prefix fails at decode, never as a wild
+ * allocation. The codec never exits the process: binaries turn a
+ * FormatError into a clean exit with core::loadOrFatal.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -43,9 +48,9 @@ enum class FormatErrorCode {
 const char *formatErrorCodeName(FormatErrorCode code);
 
 /**
- * Typed rejection of a malformed on-disk artifact. Thrown (never fatal)
- * by the memory-backed reader and the v3 index parser, so callers can
- * refuse one bad file without taking the process down.
+ * Typed rejection of a malformed artifact or payload. Thrown (never
+ * fatal) by ByteReader and the v3 index parser, so callers can refuse
+ * one bad input without taking the process down.
  */
 class FormatError : public std::runtime_error
 {
@@ -68,139 +73,158 @@ class FormatError : public std::runtime_error
 std::uint32_t crc32(const void *data, std::size_t n,
                     std::uint32_t seed = 0);
 
-/** Streaming binary writer. */
-class BinaryWriter
+/**
+ * Append-only writer into a std::string: native-endian values, u64
+ * element counts before vectors, a u32 byte count before strings.
+ */
+class ByteWriter
 {
   public:
-    /**
-     * Open @p path and emit the archive header.
-     * @param magic   Four-character archive tag (e.g. "HIVF").
-     * @param version Format version number.
-     */
-    BinaryWriter(const std::string &path, const std::string &magic,
-                 std::uint32_t version);
-
-    /**
-     * Write to an externally-owned stream with no archive header —
-     * used to serialize sub-structures (codec parameter blobs) into a
-     * section of a containing format. @p out must outlive the writer.
-     */
-    explicit BinaryWriter(std::ostream &out);
-
-    /** Write one trivially-copyable value. */
+    /** Append one trivially-copyable value. */
     template <typename T>
     void
-    write(const T &value)
+    put(const T &value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        out_->write(reinterpret_cast<const char *>(&value), sizeof(T));
+        append(&value, sizeof(T));
     }
 
-    /** Write a length-prefixed vector of trivially-copyable elements. */
+    /** Append a u64 element count, then the elements. */
     template <typename T>
     void
-    writeVector(const std::vector<T> &v)
+    putVector(const std::vector<T> &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        write<std::uint64_t>(v.size());
-        if (!v.empty()) {
-            out_->write(reinterpret_cast<const char *>(v.data()),
-                        static_cast<std::streamsize>(v.size() * sizeof(T)));
-        }
+        put<std::uint64_t>(v.size());
+        append(v.data(), v.size() * sizeof(T));
     }
 
-    /** Write a length-prefixed string. */
-    void writeString(const std::string &s);
+    /** Append a u32 byte count, then the bytes. */
+    void
+    putString(std::string_view s)
+    {
+        HERMES_ASSERT(s.size() <= UINT32_MAX, "string of ", s.size(),
+                      " bytes exceeds its u32 count");
+        put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
+        append(s.data(), s.size());
+    }
 
-    /** True if all writes so far succeeded. */
-    bool good() const { return out_->good(); }
+    /** Bytes written so far. */
+    const std::string &bytes() const { return buffer_; }
+
+    /** Move the bytes out; the writer is spent afterwards. */
+    std::string take() { return std::move(buffer_); }
 
   private:
-    std::ofstream file_;
-    std::ostream *out_;
+    void
+    append(const void *data, std::size_t n)
+    {
+        if (n)
+            buffer_.append(static_cast<const char *>(data), n);
+    }
+
+    std::string buffer_;
 };
 
-/** Streaming binary reader that validates the archive header. */
-class BinaryReader
+/**
+ * Bounds-checked reader over a byte span it does not own. Every read
+ * checks the bytes left before it copies; every count is checked
+ * against them before anything is sized from it. Any failure throws
+ * FormatError whose message starts with the reader's name.
+ */
+class ByteReader
 {
   public:
-    /**
-     * Open @p path and validate magic/version; fatal on mismatch.
-     */
-    BinaryReader(const std::string &path, const std::string &magic,
-                 std::uint32_t expected_version);
+    /** Read @p bytes (which must outlive the reader); @p name labels errors. */
+    ByteReader(std::string_view bytes, std::string name)
+        : data_(bytes), name_(std::move(name))
+    {
+    }
 
-    /**
-     * Read from an in-memory buffer with no archive header (the
-     * counterpart of BinaryWriter(std::ostream&)). Corruption throws
-     * FormatError instead of terminating. @p name labels errors.
-     */
-    BinaryReader(const void *data, std::size_t size, std::string name);
-
-    /** Read one trivially-copyable value. */
+    /** Read one trivially-copyable value (Truncated on underrun). */
     template <typename T>
     T
-    read()
+    get()
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        T value{};
-        in_->read(reinterpret_cast<char *>(&value), sizeof(T));
-        if (!in_->good())
-            fail(FormatErrorCode::Truncated, "truncated archive");
+        if (sizeof(T) > remaining()) {
+            fail(FormatErrorCode::Truncated,
+                 detail::concat("truncated: need ", sizeof(T),
+                                " bytes, have ", remaining()));
+        }
+        T value;
+        std::memcpy(&value, data_.data() + pos_, sizeof(T));
+        pos_ += sizeof(T);
         return value;
     }
 
-    /**
-     * Read a length-prefixed vector. The length prefix is validated
-     * against the bytes actually left in the file before allocating, so
-     * a truncated or corrupt archive fails with a clean error naming the
-     * path instead of a multi-GB allocation or bad_alloc.
-     */
+    /** Read a u64 element count, then the elements (see needCount). */
     template <typename T>
     std::vector<T>
-    readVector()
+    getVector()
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        auto n = read<std::uint64_t>();
-        // Divide rather than multiply so a hostile prefix cannot
-        // overflow the byte count.
-        if (n > remainingBytes() / sizeof(T)) {
-            fail(FormatErrorCode::Corrupt,
-                 detail::concat("vector length ", n, " (", sizeof(T),
-                                "-byte elements) exceeds the ",
-                                remainingBytes(),
-                                " bytes left in the file"));
-        }
-        std::vector<T> v(n);
-        if (n) {
-            in_->read(reinterpret_cast<char *>(v.data()),
-                      static_cast<std::streamsize>(n * sizeof(T)));
-            if (!in_->good())
-                fail(FormatErrorCode::Truncated,
-                     "truncated archive vector");
-        }
+        const auto n = get<std::uint64_t>();
+        needCount(n, sizeof(T));
+        std::vector<T> v(static_cast<std::size_t>(n));
+        if (n)
+            std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+        pos_ += static_cast<std::size_t>(n) * sizeof(T);
         return v;
     }
 
-    /** Read a length-prefixed string (length validated like readVector). */
-    std::string readString();
-
-    /** Bytes between the current read position and end of file. */
-    std::uint64_t remainingBytes();
+    /** Read a u32 byte count, then the bytes (see needCount). */
+    std::string
+    getString()
+    {
+        const auto n = get<std::uint32_t>();
+        needCount(n, 1);
+        std::string s(data_.substr(pos_, n));
+        pos_ += n;
+        return s;
+    }
 
     /**
-     * Reject the archive: throws FormatError in memory mode, fatals
-     * with the historical message in file mode. [[noreturn]].
+     * Throws Corrupt unless @p n elements of @p elem_size bytes each
+     * fit in the bytes left. It divides instead of multiplying, so a
+     * hostile @p n cannot wrap the product, and a caller may size a
+     * container from @p n once this returns.
      */
-    [[noreturn]] void fail(FormatErrorCode code, const std::string &msg);
+    void
+    needCount(std::uint64_t n, std::size_t elem_size) const
+    {
+        if (n > remaining() / elem_size) {
+            fail(FormatErrorCode::Corrupt,
+                 detail::concat("count ", n, " x ", elem_size,
+                                " bytes exceeds the ", remaining(),
+                                " bytes left"));
+        }
+    }
+
+    /** Bytes not yet read. */
+    std::size_t remaining() const { return data_.size() - pos_; }
+
+    /** Throws Corrupt unless every byte was read. */
+    void
+    expectEnd() const
+    {
+        if (remaining() != 0) {
+            fail(FormatErrorCode::Corrupt,
+                 detail::concat(remaining(), " trailing bytes"));
+        }
+    }
+
+    /** Reject the input: throws FormatError(@p code, "<name>: <msg>"). */
+    [[noreturn]] void
+    fail(FormatErrorCode code, const std::string &msg) const
+    {
+        throw FormatError(code, name_ + ": " + msg);
+    }
 
   private:
-    std::ifstream file_;
-    std::istringstream mem_;
-    std::istream *in_;
-    std::string path_;
-    std::uint64_t file_size_ = 0;
-    bool throw_on_error_ = false;
+    std::string_view data_;
+    std::size_t pos_ = 0;
+    std::string name_;
 };
 
 } // namespace util

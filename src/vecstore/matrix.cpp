@@ -1,12 +1,17 @@
 #include "vecstore/matrix.hpp"
 
+#include <array>
+#include <fstream>
+
 #include "util/logging.hpp"
+#include "util/mmap_file.hpp"
 #include "util/serialize.hpp"
 
 namespace hermes {
 namespace vecstore {
 
 namespace {
+constexpr std::array<char, 4> kMatrixMagic = {'H', 'M', 'A', 'T'};
 constexpr std::uint32_t kMatrixVersion = 1;
 } // namespace
 
@@ -70,21 +75,50 @@ Matrix::gather(const std::vector<std::size_t> &indices) const
 void
 Matrix::save(const std::string &path) const
 {
-    util::BinaryWriter w(path, "HMAT", kMatrixVersion);
-    w.write<std::uint64_t>(dim_);
-    w.writeVector(data_);
-    HERMES_ASSERT(w.good(), "matrix save failed: ", path);
+    util::ByteWriter header;
+    header.put(kMatrixMagic);
+    header.put(kMatrixVersion);
+    header.put<std::uint64_t>(dim_);
+    // putVector's u64 count; the rows follow straight from data_.
+    header.put<std::uint64_t>(data_.size());
+    std::ofstream out(path, std::ios::binary);
+    out.write(header.bytes().data(),
+              static_cast<std::streamsize>(header.bytes().size()));
+    out.write(reinterpret_cast<const char *>(data_.data()),
+              static_cast<std::streamsize>(data_.size() * sizeof(float)));
+    out.close();
+    if (!out) {
+        throw util::FormatError(util::FormatErrorCode::Io,
+                                "cannot write matrix file: " + path);
+    }
 }
 
 Matrix
 Matrix::load(const std::string &path)
 {
-    util::BinaryReader r(path, "HMAT", kMatrixVersion);
-    auto dim = r.read<std::uint64_t>();
+    const util::MmapFile file(path);
+    util::ByteReader r(
+        std::string_view(reinterpret_cast<const char *>(file.data()),
+                         file.size()),
+        path);
+    if (r.get<std::array<char, 4>>() != kMatrixMagic)
+        r.fail(util::FormatErrorCode::BadMagic, "not an HMAT file");
+    const auto version = r.get<std::uint32_t>();
+    if (version != kMatrixVersion) {
+        r.fail(util::FormatErrorCode::BadVersion,
+               util::detail::concat("HMAT version ", version,
+                                    ", expected ", kMatrixVersion));
+    }
+    const auto dim = r.get<std::uint64_t>();
     Matrix m(static_cast<std::size_t>(dim));
-    m.data_ = r.readVector<float>();
-    HERMES_ASSERT(dim == 0 || m.data_.size() % dim == 0,
-                  "corrupt matrix payload in ", path);
+    m.data_ = r.getVector<float>();
+    r.expectEnd();
+    if (dim == 0 ? !m.data_.empty() : m.data_.size() % dim != 0) {
+        r.fail(util::FormatErrorCode::Corrupt,
+               util::detail::concat(m.data_.size(),
+                                    " floats do not fill rows of dim ",
+                                    dim));
+    }
     return m;
 }
 

@@ -62,10 +62,18 @@ class Matrix
      */
     Matrix gather(const std::vector<std::size_t> &indices) const;
 
-    /** Persist to a binary file. */
+    /**
+     * Persist to an HMAT file: "HMAT", u32 version, u64 dim, then the
+     * rows as a u64-counted float vector (util::ByteWriter layout).
+     * @throws util::FormatError (Io) when the file cannot be written.
+     */
     void save(const std::string &path) const;
 
-    /** Load from a binary file written by save(). */
+    /**
+     * Load an HMAT file written by save().
+     * @throws util::FormatError: Io, BadMagic, BadVersion, Truncated, or
+     *         Corrupt (bad row count or trailing bytes).
+     */
     static Matrix load(const std::string &path);
 
   private:

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -30,6 +31,7 @@
 #include "serve/node_client.hpp"
 #include "util/serialize.hpp"
 #include "util/threadpool.hpp"
+#include "vecstore/matrix.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -611,35 +613,44 @@ TEST(AdaptiveEpsilonIp, BrokerMatchesCoreStrategyOnIpStore)
 // Corrupt archive rejection
 // ---------------------------------------------------------------------------
 
-TEST(CorruptArchive, HostileVectorLengthPrefixIsFatalNotBadAlloc)
+TEST(CorruptArchive, HostileVectorLengthPrefixThrowsNotBadAlloc)
 {
+    // An HMAT file whose row-block prefix claims ~10^18 floats must be
+    // rejected against the bytes actually present, before allocating.
+    util::ByteWriter w;
+    w.put(std::array<char, 4>{'H', 'M', 'A', 'T'});
+    w.put<std::uint32_t>(1);
+    w.put<std::uint64_t>(4);
+    w.put<std::uint64_t>(1ull << 60);
+    w.put<float>(0.0f);
     auto path =
-        std::filesystem::temp_directory_path() / "hostile_prefix.bin";
+        std::filesystem::temp_directory_path() / "hostile_prefix.hmat";
     {
-        util::BinaryWriter w(path.string(), "HTST", 1);
-        // A corrupt/hostile length prefix claiming ~10^18 floats.
-        w.write<std::uint64_t>(1ull << 60);
-        ASSERT_TRUE(w.good());
+        std::ofstream out(path, std::ios::binary);
+        out << w.bytes();
     }
-    util::BinaryReader r(path.string(), "HTST", 1);
-    EXPECT_EXIT((void)r.readVector<float>(),
-                ::testing::ExitedWithCode(1), "corrupt archive");
+    try {
+        (void)vecstore::Matrix::load(path.string());
+        ADD_FAILURE() << "hostile row count accepted";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Corrupt) << e.what();
+    }
     std::filesystem::remove(path);
 }
 
-TEST(CorruptArchive, HostileStringLengthPrefixIsFatal)
+TEST(CorruptArchive, HostileStringLengthPrefixThrows)
 {
-    auto path =
-        std::filesystem::temp_directory_path() / "hostile_string.bin";
-    {
-        util::BinaryWriter w(path.string(), "HTST", 1);
-        w.write<std::uint64_t>(1ull << 40);
-        ASSERT_TRUE(w.good());
+    // A u32 byte count of 2^32 - 1 in front of a few real bytes.
+    util::ByteWriter w;
+    w.put<std::uint32_t>(0xffffffffu);
+    w.put<std::uint64_t>(0);
+    util::ByteReader r(w.bytes(), "hostile string");
+    try {
+        (void)r.getString();
+        ADD_FAILURE() << "hostile string length accepted";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Corrupt) << e.what();
     }
-    util::BinaryReader r(path.string(), "HTST", 1);
-    EXPECT_EXIT((void)r.readString(),
-                ::testing::ExitedWithCode(1), "corrupt archive");
-    std::filesystem::remove(path);
 }
 
 TEST(CorruptArchive, TruncatedIndexFileIsRejectedOnLoad)

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "index/ivf_format.hpp"
 #include "index/ivf_index.hpp"
 #include "index/ivf_stream_writer.hpp"
 #include "util/serialize.hpp"
@@ -360,6 +361,40 @@ TEST(MmapCorruption, TrailingBytesAreRejected)
     EXPECT_THROW((void)IvfIndex::openMapped(path.string()),
                  util::FormatError);
     EXPECT_THROW((void)IvfIndex::load(path.string()), util::FormatError);
+    std::filesystem::remove(path);
+}
+
+/**
+ * A file that is valid in every checksum and layout rule but whose codec
+ * section holds one byte more than the codec reads: the leftover byte is
+ * rejected, not ignored.
+ */
+TEST(MmapCorruption, CodecSectionTrailingBytesAreRejected)
+{
+    const auto path = tempIndexPath("codec_trailing");
+    const auto write = [&](const std::string &blob) {
+        ivff::IndexMeta meta;
+        meta.dim = 24;
+        meta.nlist = 1;
+        meta.code_size = 24 * sizeof(float);
+        meta.codec_spec = "Flat";
+        ivff::IndexFileWriter w(path.string(), meta, {0}, blob.size());
+        w.write(w.sectionOffset(ivff::kCodecParams), blob.data(),
+                blob.size());
+        w.finish();
+    };
+    util::ByteWriter blob;
+    blob.put<std::uint64_t>(24); // FlatCodec parameters: dim
+    write(blob.bytes());
+    EXPECT_NO_THROW((void)IvfIndex::openMapped(path.string()));
+
+    write(blob.bytes() + '\0');
+    try {
+        (void)IvfIndex::openMapped(path.string());
+        ADD_FAILURE() << "trailing codec byte accepted";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Corrupt) << e.what();
+    }
     std::filesystem::remove(path);
 }
 

@@ -22,7 +22,6 @@
 #include "core/distributed_store.hpp"
 #include "net/frame.hpp"
 #include "net/net.hpp"
-#include "net/wire.hpp"
 #include "obs/exporter.hpp"
 #include "serve/broker.hpp"
 #include "serve/remote_node.hpp"
@@ -30,6 +29,7 @@
 #include "serve/rpc.hpp"
 #include "serve/shard_server.hpp"
 #include "util/minijson.hpp"
+#include "util/serialize.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -95,83 +95,6 @@ netServeData()
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Wire codec
-
-TEST(Wire, RoundTrip)
-{
-    net::WireWriter writer;
-    writer.u8(7);
-    writer.u32(0xdeadbeefu);
-    writer.u64(0x0123456789abcdefull);
-    writer.i64(-42);
-    writer.f32(1.5f);
-    writer.f64(-2.25);
-    writer.str("hello");
-    std::vector<float> floats = {0.0f, -1.0f, 3.25f};
-    writer.floats(floats.data(), floats.size());
-    std::string payload = writer.take();
-
-    net::WireReader reader(payload);
-    EXPECT_EQ(reader.u8(), 7u);
-    EXPECT_EQ(reader.u32(), 0xdeadbeefu);
-    EXPECT_EQ(reader.u64(), 0x0123456789abcdefull);
-    EXPECT_EQ(reader.i64(), -42);
-    EXPECT_EQ(reader.f32(), 1.5f);
-    EXPECT_EQ(reader.f64(), -2.25);
-    EXPECT_EQ(reader.str(), "hello");
-    EXPECT_EQ(reader.floats(), floats);
-    EXPECT_TRUE(reader.atEnd());
-    EXPECT_NO_THROW(reader.expectEnd());
-}
-
-TEST(Wire, TruncationAndTrailingGarbageThrow)
-{
-    net::WireWriter writer;
-    writer.u64(1);
-    writer.str("payload");
-    std::string payload = writer.take();
-
-    // Every proper prefix must throw, never decode short.
-    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-        net::WireReader reader(
-            std::string_view(payload.data(), cut));
-        EXPECT_THROW(
-            {
-                reader.u64();
-                reader.str();
-            },
-            net::WireError)
-            << "prefix length " << cut;
-    }
-
-    std::string padded = payload + '\0';
-    net::WireReader reader(padded);
-    reader.u64();
-    reader.str();
-    EXPECT_THROW(reader.expectEnd(), net::WireError);
-}
-
-TEST(Wire, FloatCountOverflowThrowsInsteadOfAllocating)
-{
-    // A count chosen so n * sizeof(float) wraps mod 2^64 to 4: the old
-    // need(n * 4) check passed, then std::vector<float>(n) threw
-    // length_error — which escaped WireError-only catches and
-    // std::terminate'd the connection thread. It must be a WireError
-    // raised before any allocation is sized from n.
-    net::WireWriter writer;
-    writer.u64((1ull << 62) + 1);
-    writer.f32(0.0f); // the 4 "available" bytes the wrapped check saw
-    net::WireReader reader(writer.buffer());
-    EXPECT_THROW(reader.floats(), net::WireError);
-
-    // A huge non-wrapping count must also be rejected pre-allocation.
-    net::WireWriter big;
-    big.u64(0xffffffffffffffffull);
-    net::WireReader big_reader(big.buffer());
-    EXPECT_THROW(big_reader.floats(), net::WireError);
-}
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -471,7 +394,7 @@ TEST(Rpc, DecodeRejectsTruncatedAndTrailingBytes)
 {
     // Every decoder of untrusted bytes, over a well-formed payload of
     // its message: each strict prefix and one trailing byte must throw
-    // WireError, never decode into something shorter. The one allowed
+    // FormatError, never decode into something shorter. The one allowed
     // exception: a traced request cut exactly before its (optional)
     // trace list is the same batch, untraced — a well-formed message.
     using Decode = std::function<void(std::string_view)>;
@@ -551,33 +474,33 @@ TEST(Rpc, DecodeRejectsTruncatedAndTrailingBytes)
                                 .traces.empty());
                 continue;
             }
-            EXPECT_THROW(c.decode(prefix), net::WireError)
+            EXPECT_THROW(c.decode(prefix), util::FormatError)
                 << "prefix of " << len << " bytes";
         }
-        EXPECT_THROW(c.decode(c.payload + 'x'), net::WireError);
+        EXPECT_THROW(c.decode(c.payload + 'x'), util::FormatError);
     }
 }
 
 TEST(Rpc, DecodeBoundsClaimedCountsByPayloadSize)
 {
     // Hit/response counts are untrusted u32s off the wire; a claim of
-    // ~4e9 elements over a tiny payload must throw WireError before
+    // ~4e9 elements over a tiny payload must throw FormatError before
     // reserve() attempts a multi-GB allocation (bad_alloc previously
-    // escaped the WireError-only catches on broker worker threads).
-    net::WireWriter hits;
-    hits.u32(1);          // one response ...
-    hits.u32(0xfffffffeu); // ... claiming ~4e9 hits
-    hits.i64(3);
-    hits.f32(1.0f);
+    // escaped the decode-error-only catches on broker worker threads).
+    util::ByteWriter hits;
+    hits.put<std::uint32_t>(1);           // one response ...
+    hits.put<std::uint32_t>(0xfffffffeu); // ... claiming ~4e9 hits
+    hits.put<std::int64_t>(3);
+    hits.put<float>(1.0f);
     for (int i = 0; i < 4; ++i)
-        hits.u64(0); // stats, so the claim is the only lie
-    EXPECT_THROW(serve::rpc::decodeSearchBatchResponse(hits.buffer()),
-                 net::WireError);
+        hits.put<std::uint64_t>(0); // stats, so the claim is the only lie
+    EXPECT_THROW(serve::rpc::decodeSearchBatchResponse(hits.bytes()),
+                 util::FormatError);
 
-    net::WireWriter batch;
-    batch.u32(0xfffffffeu);
-    EXPECT_THROW(serve::rpc::decodeSearchBatchResponse(batch.buffer()),
-                 net::WireError);
+    util::ByteWriter batch;
+    batch.put<std::uint32_t>(0xfffffffeu);
+    EXPECT_THROW(serve::rpc::decodeSearchBatchResponse(batch.bytes()),
+                 util::FormatError);
 }
 
 TEST(Endpoint, ParseEndpointTable)
@@ -839,7 +762,7 @@ TEST(ShardRpc, OverflowingLengthPrefixAnsweredAsBadRequest)
 {
     // Regression for the wire-codec overflow: a crafted SearchBatch
     // request whose float-count prefix wraps n * sizeof(float) mod 2^64
-    // used to throw std::length_error past the WireError-only catch in
+    // used to throw std::length_error past the decode-error-only catch in
     // dispatch(), escaping the connection thread and std::terminate'ing
     // the shard process. It must answer BadRequest and keep serving.
     const auto &data = netServeData();
@@ -852,21 +775,22 @@ TEST(ShardRpc, OverflowingLengthPrefixAnsweredAsBadRequest)
         net::connectTo("127.0.0.1", server.port(), 1000.0, &error);
     ASSERT_TRUE(client.valid()) << error;
 
-    net::WireWriter evil;
-    evil.u64(1);                // k
-    evil.u64(1);                // nprobe
-    evil.u64(0);                // ef_search
-    evil.f64(0.0);              // prune_ratio
-    evil.u64(0);                // batch_min_scan_floats
-    evil.f64(0.0);              // deadline_ms
-    evil.u64(shard.dim());      // dim
-    evil.u64((1ull << 62) + 1); // query float count: * 4 wraps to 4
-    evil.f32(0.0f);
+    util::ByteWriter evil;
+    evil.put<std::uint64_t>(1);           // k
+    evil.put<std::uint64_t>(1);           // nprobe
+    evil.put<std::uint64_t>(0);           // ef_search
+    evil.put<double>(0.0);                // prune_ratio
+    evil.put<std::uint64_t>(0);           // batch_min_scan_floats
+    evil.put<double>(0.0);                // deadline_ms
+    evil.put<std::uint64_t>(shard.dim()); // dim
+    // Query float count: n * 4 wraps to 4.
+    evil.put<std::uint64_t>((1ull << 62) + 1);
+    evil.put<float>(0.0f);
     ASSERT_EQ(net::sendFrame(
                   client,
                   static_cast<std::uint32_t>(
                       serve::rpc::Type::SearchBatchRequest),
-                  7, evil.buffer(), net::Deadline::after(1000.0)),
+                  7, evil.bytes(), net::Deadline::after(1000.0)),
               net::IoStatus::Ok);
 
     net::Frame reply;

@@ -2,13 +2,16 @@
  * @file
  * Negative-path robustness suite: misuse of every public API must fail
  * loudly (panic/fatal) rather than corrupt state — the gem5 error
- * discipline (panic = internal bug, fatal = user error).
+ * discipline (panic = internal bug, fatal = user error). A malformed
+ * input file is neither: the library throws util::FormatError.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "cluster/kmeans.hpp"
 #include "cluster/partitioner.hpp"
@@ -40,40 +43,64 @@ smallData(std::size_t rows = 64, std::size_t dim = 8)
     return m;
 }
 
-TEST(Robustness, ArchiveBadMagicIsFatal)
+/** Write @p bytes to a temp file named @p name; returns its path. */
+std::filesystem::path
+writeTempFile(const std::string &name, const std::string &bytes)
 {
-    auto path = std::filesystem::temp_directory_path() / "bad_magic.bin";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "XXXXGARBAGE";
+    auto path = std::filesystem::temp_directory_path() / name;
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+}
+
+/** The FormatErrorCode Matrix::load(@p path) throws (Io if none). */
+util::FormatErrorCode
+matrixLoadError(const std::filesystem::path &path)
+{
+    try {
+        (void)Matrix::load(path.string());
+    } catch (const util::FormatError &e) {
+        return e.code();
     }
-    EXPECT_EXIT((void)util::BinaryReader(path.string(), "HIVF", 1),
-                ::testing::ExitedWithCode(1), "bad archive magic");
+    ADD_FAILURE() << "Matrix::load accepted " << path;
+    return util::FormatErrorCode::Io;
+}
+
+/** Bytes of a valid 2 x 3 HMAT file. */
+std::string
+validMatrixFile()
+{
+    auto path = std::filesystem::temp_directory_path() / "valid.hmat";
+    smallData(2, 3).save(path.string());
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    return bytes;
+}
+
+TEST(Robustness, MatrixFileBadMagicThrows)
+{
+    auto path = writeTempFile("bad_magic.hmat", "XXXXGARBAGE");
+    EXPECT_EQ(matrixLoadError(path), util::FormatErrorCode::BadMagic);
     std::filesystem::remove(path);
 }
 
-TEST(Robustness, ArchiveVersionMismatchIsFatal)
+TEST(Robustness, MatrixFileVersionMismatchThrows)
 {
-    auto path = std::filesystem::temp_directory_path() / "bad_ver.bin";
-    {
-        util::BinaryWriter w(path.string(), "HTST", 7);
-        w.write<int>(1);
-    }
-    EXPECT_EXIT((void)util::BinaryReader(path.string(), "HTST", 8),
-                ::testing::ExitedWithCode(1), "version mismatch");
+    std::string bytes = validMatrixFile();
+    bytes[4] = 2; // u32 version 1 -> 2
+    auto path = writeTempFile("bad_ver.hmat", bytes);
+    EXPECT_EQ(matrixLoadError(path), util::FormatErrorCode::BadVersion);
     std::filesystem::remove(path);
 }
 
-TEST(Robustness, TruncatedArchivePanics)
+TEST(Robustness, TruncatedMatrixFileThrows)
 {
-    auto path = std::filesystem::temp_directory_path() / "truncated.bin";
-    {
-        util::BinaryWriter w(path.string(), "HTST", 1);
-        w.write<std::uint8_t>(1);
-    }
-    util::BinaryReader r(path.string(), "HTST", 1);
-    (void)r.read<std::uint8_t>();
-    EXPECT_DEATH((void)r.read<std::uint64_t>(), "truncated");
+    // Cut inside the u64 dim that follows magic + version.
+    auto path =
+        writeTempFile("truncated.hmat", validMatrixFile().substr(0, 12));
+    EXPECT_EQ(matrixLoadError(path), util::FormatErrorCode::Truncated);
     std::filesystem::remove(path);
 }
 

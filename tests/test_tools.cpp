@@ -87,6 +87,26 @@ TEST(Manifest, SaveLoadRoundTrip)
     std::filesystem::remove_all(dir);
 }
 
+/** Serialize @p store into @p dir like hermes_build_index does. */
+void
+saveDeployment(const core::DistributedStore &store,
+               const vecstore::Matrix &corpus,
+               const std::filesystem::path &dir)
+{
+    std::filesystem::create_directories(dir);
+    core::Manifest manifest;
+    manifest.num_clusters = store.numClusters();
+    manifest.dim = corpus.dim();
+    corpus.save((dir / manifest.corpus_file).string());
+    store.centroids().save((dir / manifest.centroids_file).string());
+    for (std::size_t c = 0; c < store.numClusters(); ++c) {
+        std::string file = "cluster_" + std::to_string(c) + ".hivf";
+        store.clusterIndex(c).save((dir / file).string());
+        manifest.cluster_files.push_back(file);
+    }
+    manifest.save(dir);
+}
+
 TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
 {
     workload::CorpusConfig cc;
@@ -104,21 +124,9 @@ TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
     config.partition.seeds_to_try = 2;
     auto store = core::DistributedStore::build(corpus.embeddings, config);
 
-    // Serialize everything like hermes_build_index does.
     auto dir =
         std::filesystem::temp_directory_path() / "hermes_assembly";
-    std::filesystem::create_directories(dir);
-    core::Manifest manifest;
-    manifest.num_clusters = store.numClusters();
-    manifest.dim = corpus.embeddings.dim();
-    corpus.embeddings.save((dir / manifest.corpus_file).string());
-    store.centroids().save((dir / manifest.centroids_file).string());
-    for (std::size_t c = 0; c < store.numClusters(); ++c) {
-        std::string file = "cluster_" + std::to_string(c) + ".hivf";
-        store.clusterIndex(c).save((dir / file).string());
-        manifest.cluster_files.push_back(file);
-    }
-    manifest.save(dir);
+    saveDeployment(store, corpus.embeddings, dir);
 
     auto reloaded = core::loadStore(dir, core::Manifest::load(dir),
                                      config);
@@ -139,6 +147,38 @@ TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
             EXPECT_FLOAT_EQ(a.hits[i].score, b.hits[i].score);
         }
         EXPECT_EQ(a.deep_clusters, b.deep_clusters);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StoreAssembly, CorruptCentroidsFileThrows)
+{
+    // A bad centroids.hmat is rejected like a bad .hivf: a typed throw
+    // the caller can handle, never an exit from inside the library.
+    workload::CorpusConfig cc;
+    cc.num_docs = 600;
+    cc.dim = 8;
+    cc.num_topics = 4;
+    cc.seed = 62;
+    auto corpus = workload::generateCorpus(cc);
+    core::HermesConfig config;
+    config.num_clusters = 2;
+    config.clusters_to_search = 1;
+    config.partition.seeds_to_try = 1;
+    auto store = core::DistributedStore::build(corpus.embeddings, config);
+
+    auto dir = std::filesystem::temp_directory_path() /
+               "hermes_bad_centroids";
+    saveDeployment(store, corpus.embeddings, dir);
+    const auto manifest = core::Manifest::load(dir);
+    const auto centroids = dir / manifest.centroids_file;
+    std::filesystem::resize_file(
+        centroids, std::filesystem::file_size(centroids) - 1);
+    try {
+        (void)core::loadStore(dir, manifest, config);
+        ADD_FAILURE() << "truncated centroids file accepted";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Corrupt) << e.what();
     }
     std::filesystem::remove_all(dir);
 }

@@ -18,7 +18,6 @@
 #include "core/distributed_store.hpp"
 #include "net/frame.hpp"
 #include "net/net.hpp"
-#include "net/wire.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +27,7 @@
 #include "serve/shard_server.hpp"
 #include "serve/trace_merge.hpp"
 #include "util/minijson.hpp"
+#include "util/serialize.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -147,14 +147,14 @@ TEST(RpcProtocol, SearchBatchSparseTraceRoundTrip)
 
     // A trailing slot index beyond the query count is hostile input,
     // not a context to adopt.
-    net::WireWriter bad;
-    bad.u32(1);
-    bad.u32(7); // slot 7 of 3
-    bad.u64(1);
-    bad.u64(2);
+    util::ByteWriter bad;
+    bad.put<std::uint32_t>(1);
+    bad.put<std::uint32_t>(7); // slot 7 of 3
+    bad.put<std::uint64_t>(1);
+    bad.put<std::uint64_t>(2);
     EXPECT_THROW(serve::rpc::decodeSearchBatchRequest(untraced_payload +
-                                                      bad.buffer()),
-                 net::WireError);
+                                                      bad.bytes()),
+                 util::FormatError);
 }
 
 TEST(RpcProtocol, ShardRejectsOtherVersionHealthAsBadRequest)

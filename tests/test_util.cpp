@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the util substrate: RNG, statistics, CSV, serialization,
- * thread pool, JSON reader.
+ * Unit tests for the util substrate: RNG, statistics, CSV, the byte
+ * codec, thread pool, JSON reader.
  */
 
 #include <gtest/gtest.h>
@@ -302,25 +302,129 @@ TEST(Csv, WritesEscapedRows)
     std::filesystem::remove(path);
 }
 
-TEST(Serialize, RoundTripsValuesVectorsStrings)
+/** The FormatErrorCode @p decode throws, failing the test if none. */
+template <typename Fn>
+FormatErrorCode
+thrownCode(Fn &&decode)
 {
-    auto path =
-        std::filesystem::temp_directory_path() / "hermes_ser_test.bin";
-    std::vector<float> payload{1.5f, -2.0f, 3.25f};
-    {
-        BinaryWriter w(path.string(), "HTST", 3);
-        w.write<std::uint32_t>(0xdeadbeef);
-        w.writeVector(payload);
-        w.writeString("hello world");
-        ASSERT_TRUE(w.good());
+    try {
+        decode();
+    } catch (const FormatError &e) {
+        return e.code();
     }
-    {
-        BinaryReader r(path.string(), "HTST", 3);
-        EXPECT_EQ(r.read<std::uint32_t>(), 0xdeadbeefu);
-        EXPECT_EQ(r.readVector<float>(), payload);
-        EXPECT_EQ(r.readString(), "hello world");
+    ADD_FAILURE() << "no FormatError thrown";
+    return FormatErrorCode::Io;
+}
+
+TEST(ByteCodec, RoundTripsValuesVectorsStrings)
+{
+    ByteWriter w;
+    w.put<std::uint8_t>(7);
+    w.put<std::uint32_t>(0xdeadbeefu);
+    w.put<std::uint64_t>(0x0123456789abcdefull);
+    w.put<std::int64_t>(-42);
+    w.put<float>(1.5f);
+    w.put<double>(-2.25);
+    w.putString("hello world");
+    const std::vector<float> floats{0.0f, -1.0f, 3.25f};
+    w.putVector(floats);
+    w.putVector(std::vector<std::int64_t>{});
+    const std::string bytes = w.take();
+    EXPECT_EQ(bytes.size(), 1u + 4 + 8 + 8 + 4 + 8 + (4 + 11) +
+                                (8 + 3 * 4) + 8);
+
+    ByteReader r(bytes, "test");
+    EXPECT_EQ(r.get<std::uint8_t>(), 7u);
+    EXPECT_EQ(r.get<std::uint32_t>(), 0xdeadbeefu);
+    EXPECT_EQ(r.get<std::uint64_t>(), 0x0123456789abcdefull);
+    EXPECT_EQ(r.get<std::int64_t>(), -42);
+    EXPECT_EQ(r.get<float>(), 1.5f);
+    EXPECT_EQ(r.get<double>(), -2.25);
+    EXPECT_EQ(r.getString(), "hello world");
+    EXPECT_EQ(r.getVector<float>(), floats);
+    EXPECT_TRUE(r.getVector<std::int64_t>().empty());
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_NO_THROW(r.expectEnd());
+}
+
+TEST(ByteCodec, TruncationAndTrailingBytesThrow)
+{
+    ByteWriter w;
+    w.put<std::uint64_t>(1);
+    w.putString("payload");
+    w.putVector(std::vector<float>{1.0f, 2.0f});
+    const std::string bytes = w.take();
+
+    // Every proper prefix throws, never decodes short: a cut value is
+    // Truncated, a cut string or vector body fails its count (Corrupt).
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        ByteReader r(std::string_view(bytes.data(), cut), "prefix");
+        const FormatErrorCode code = thrownCode([&] {
+            r.get<std::uint64_t>();
+            r.getString();
+            r.getVector<float>();
+        });
+        const bool in_value = cut < 12 || (cut >= 19 && cut < 27);
+        EXPECT_EQ(code, in_value ? FormatErrorCode::Truncated
+                                 : FormatErrorCode::Corrupt)
+            << "prefix length " << cut;
     }
-    std::filesystem::remove(path);
+
+    const std::string padded = bytes + '\0';
+    ByteReader r(padded, "padded");
+    r.get<std::uint64_t>();
+    r.getString();
+    r.getVector<float>();
+    EXPECT_EQ(r.remaining(), 1u);
+    EXPECT_EQ(thrownCode([&] { r.expectEnd(); }), FormatErrorCode::Corrupt);
+}
+
+TEST(ByteCodec, HostileCountsThrowBeforeAllocating)
+{
+    // A count chosen so n * sizeof(float) wraps mod 2^64 to 4: a
+    // multiplying bounds check would pass it against the 4 bytes that
+    // follow and then size a vector of 2^62 + 1 floats. needCount
+    // divides, so it is rejected before anything is allocated.
+    ByteWriter wrap;
+    wrap.put<std::uint64_t>((1ull << 62) + 1);
+    wrap.put<float>(0.0f);
+    ByteReader wrap_reader(wrap.bytes(), "wrap");
+    EXPECT_EQ(thrownCode([&] { wrap_reader.getVector<float>(); }),
+              FormatErrorCode::Corrupt);
+
+    ByteWriter huge;
+    huge.put<std::uint64_t>(0xffffffffffffffffull);
+    ByteReader huge_reader(huge.bytes(), "huge");
+    EXPECT_EQ(thrownCode([&] { huge_reader.getVector<float>(); }),
+              FormatErrorCode::Corrupt);
+
+    ByteWriter str;
+    str.put<std::uint32_t>(0xffffffffu);
+    str.put<std::uint32_t>(0);
+    ByteReader str_reader(str.bytes(), "string");
+    EXPECT_EQ(thrownCode([&] { str_reader.getString(); }),
+              FormatErrorCode::Corrupt);
+
+    ByteReader counts(std::string_view("12345678", 8), "counts");
+    EXPECT_NO_THROW(counts.needCount(2, 4));
+    EXPECT_NO_THROW(counts.needCount(0, 12));
+    EXPECT_EQ(thrownCode([&] { counts.needCount(3, 3); }),
+              FormatErrorCode::Corrupt);
+}
+
+TEST(ByteCodec, ErrorsNameTheInput)
+{
+    ByteReader r(std::string_view(), "cluster_3.hivf (codec parameters)");
+    try {
+        r.get<std::uint32_t>();
+        FAIL() << "no FormatError thrown";
+    } catch (const FormatError &e) {
+        EXPECT_EQ(e.code(), FormatErrorCode::Truncated);
+        EXPECT_EQ(std::string(e.what()).rfind(
+                      "cluster_3.hivf (codec parameters): ", 0),
+                  0u)
+            << e.what();
+    }
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices)

@@ -19,6 +19,7 @@
  */
 
 #include <filesystem>
+#include <system_error>
 
 #include <sys/resource.h>
 
@@ -41,39 +42,20 @@ peakRssMib()
     return static_cast<double>(usage.ru_maxrss) / 1024.0; // KiB on Linux
 }
 
-} // namespace
-
+/** Build the deployment @p args describe and write it to --output. */
 int
-main(int argc, char **argv)
+buildDeployment(const hermes::util::ArgParser &args)
 {
     using namespace hermes;
 
-    util::ArgParser args("hermes_build_index",
-                         "build Hermes retrieval indices");
-    args.addFlag("output", "hermes_index", "output directory");
-    args.addFlag("type", "clustered",
-                 "monolithic | split (round-robin) | clustered (Hermes)");
-    args.addFlag("num-docs", "20000", "synthetic corpus size (chunks)");
-    args.addFlag("dim", "64", "embedding dimensionality");
-    args.addFlag("num-topics", "30", "latent topics in the corpus");
-    args.addFlag("num-indices", "10", "cluster indices to build");
-    args.addFlag("codec", "SQ8", "vector codec (Flat/SQ8/SQ4/PQ<M>)");
-    args.addFlag("nlist", "0", "inverted lists per index (0 = sqrt(n))");
-    args.addFlag("seeds-to-try", "4",
-                 "K-means seeds for the balanced-seed search");
-    args.addFlag("seed", "42", "corpus generation seed");
-    args.addFlag("corpus", "",
-                 "load this .hmat embedding matrix instead of synthesizing");
-    args.addFlag("stream", "0",
-                 "1 = bounded-memory streaming build (IvfStreamWriter)");
-    args.addFlag("stream-batch", "8192",
-                 "rows per streaming encode batch");
-    args.addFlag("stream-budget-mb", "64",
-                 "scatter-phase flush budget per cluster (MiB)");
-    args.parse(argc, argv);
-
     std::filesystem::path dir(args.get("output"));
-    std::filesystem::create_directories(dir);
+    std::error_code error;
+    std::filesystem::create_directories(dir, error);
+    if (error) {
+        throw util::FormatError(util::FormatErrorCode::Io,
+                                dir.string() + ": cannot create: " +
+                                    error.message());
+    }
 
     // Datastore embeddings: synthetic topic corpus or a user matrix.
     vecstore::Matrix data(0);
@@ -217,4 +199,41 @@ main(int argc, char **argv)
                   store.memoryBytes() / 1024 / 1024,
                   " MiB of indices, peak RSS ", peakRssMib(), " MiB)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    using namespace hermes;
+
+    util::ArgParser args("hermes_build_index",
+                         "build Hermes retrieval indices");
+    args.addFlag("output", "hermes_index", "output directory");
+    args.addFlag("type", "clustered",
+                 "monolithic | split (round-robin) | clustered (Hermes)");
+    args.addFlag("num-docs", "20000", "synthetic corpus size (chunks)");
+    args.addFlag("dim", "64", "embedding dimensionality");
+    args.addFlag("num-topics", "30", "latent topics in the corpus");
+    args.addFlag("num-indices", "10", "cluster indices to build");
+    args.addFlag("codec", "SQ8", "vector codec (Flat/SQ8/SQ4/PQ<M>)");
+    args.addFlag("nlist", "0", "inverted lists per index (0 = sqrt(n))");
+    args.addFlag("seeds-to-try", "4",
+                 "K-means seeds for the balanced-seed search");
+    args.addFlag("seed", "42", "corpus generation seed");
+    args.addFlag("corpus", "",
+                 "load this .hmat embedding matrix instead of synthesizing");
+    args.addFlag("stream", "0",
+                 "1 = bounded-memory streaming build (IvfStreamWriter)");
+    args.addFlag("stream-batch", "8192",
+                 "rows per streaming encode batch");
+    args.addFlag("stream-budget-mb", "64",
+                 "scatter-phase flush budget per cluster (MiB)");
+    args.parse(argc, argv);
+
+    // Every artifact read or written goes through one handler, so an
+    // unreadable input or an unwritable output exits 1 with a [fatal]
+    // line instead of escaping main as an uncaught throw.
+    return core::loadOrFatal([&] { return buildDeployment(args); });
 }

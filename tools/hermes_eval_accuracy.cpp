@@ -68,8 +68,9 @@ main(int argc, char **argv)
     auto store = core::loadOrFatal(
         [&] { return core::loadStore(dir, manifest, config); });
 
-    auto data =
-        vecstore::Matrix::load((dir / manifest.corpus_file).string());
+    auto data = core::loadOrFatal([&] {
+        return vecstore::Matrix::load((dir / manifest.corpus_file).string());
+    });
     auto queries = makeQueries(
         data, static_cast<std::size_t>(args.getInt("num-queries")),
         args.getDouble("noise"),

@@ -25,13 +25,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/exporter.hpp"
+#include "serve/remote_node.hpp"
 #include "serve/trace_merge.hpp"
 #include "util/argparse.hpp"
 
@@ -49,18 +49,6 @@ readFile(const std::string &path, std::string &out)
     buf << in.rdbuf();
     out = buf.str();
     return true;
-}
-
-/** "host:port" → parts; false on anything unparseable. */
-bool
-splitEndpoint(const std::string &endpoint, std::string &host, int &port)
-{
-    std::size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos || colon == 0)
-        return false;
-    host = endpoint.substr(0, colon);
-    port = std::atoi(endpoint.c_str() + colon + 1);
-    return port > 0 && port <= 65535;
 }
 
 } // namespace
@@ -107,16 +95,15 @@ main(int argc, char **argv)
     }
     for (const auto &endpoint : endpoints) {
         std::string host;
-        int port = 0;
-        if (!splitEndpoint(endpoint, host, port)) {
+        std::uint16_t port = 0;
+        if (!serve::parseEndpoint(endpoint, host, port)) {
             std::fprintf(stderr, "error: bad endpoint %s\n",
                          endpoint.c_str());
             return 2;
         }
         serve::TraceDumpInput dump;
         dump.source = endpoint;
-        if (!obs::httpGet(host, static_cast<std::uint16_t>(port),
-                          "/trace.json", &dump.json)) {
+        if (!obs::httpGet(host, port, "/trace.json", &dump.json)) {
             std::fprintf(stderr,
                          "warning: fetch of %s/trace.json failed; "
                          "skipping\n",
