@@ -6,12 +6,15 @@
  * Builds one shard-sized index, saves it in the v3 on-disk format, then
  * times the three ways a restarted process can reach "ready": retrain +
  * re-add from raw embeddings (the seed-flag path hermes_shard uses
- * without --index-file), heap reload (IvfIndex::load — one full copy of
- * the file), and the zero-copy mmap open (IvfIndex::openMapped — header
- * + centroids only, lists faulted on demand). It then measures
- * first-batch and steady-state search latency through the heap and
- * mapped forms (which must do identical work — the stats are asserted
- * equal) and reports mapping residency before and after the scans.
+ * without --index-file), heap reload (IvfIndex::load — the mmap open
+ * plus one copy of each list section: table, ids, codes), and the
+ * zero-copy mmap open (IvfIndex::openMapped — header + centroids only,
+ * lists faulted on demand). Heap and mapped indices hold the same
+ * section layout and differ only in who owns the bytes. It then
+ * measures first-batch and steady-state search latency through the
+ * heap and mapped forms (which must do identical work — the stats are
+ * asserted equal) and reports mapping residency before and after the
+ * scans.
  *
  * Page-cache caveat: an unprivileged bench cannot drop the page cache,
  * so "mmap open" here is the warm-cache figure — the cost of re-mapping

@@ -229,7 +229,8 @@ main(int argc, char **argv)
     // manifest's embedding dim.
     std::optional<core::Manifest> manifest;
     if (!index_dir.empty()) {
-        manifest = core::Manifest::load(index_dir);
+        manifest = core::loadOrFatal(
+            [&] { return core::Manifest::load(index_dir); });
         dim = manifest->dim;
     }
 

@@ -1,19 +1,52 @@
 #include "core/manifest.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <map>
-
-#include "util/logging.hpp"
 
 namespace hermes {
 namespace core {
 
+namespace {
+
+using util::FormatError;
+using util::FormatErrorCode;
+
+using Fields = std::map<std::string, std::string>;
+
+const std::string &
+field(const Fields &kv, const std::string &key, const std::string &path)
+{
+    const auto it = kv.find(key);
+    if (it == kv.end())
+        throw FormatError(FormatErrorCode::Corrupt,
+                          path + ": missing key '" + key + "'");
+    return it->second;
+}
+
+std::size_t
+number(const Fields &kv, const std::string &key, const std::string &path)
+{
+    const std::string &text = field(kv, key, path);
+    std::size_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() ||
+        end != text.data() + text.size()) {
+        throw FormatError(FormatErrorCode::Corrupt,
+                          path + ": " + key + " is not a count: '" + text +
+                              "'");
+    }
+    return value;
+}
+
+} // namespace
+
 void
 Manifest::save(const std::filesystem::path &dir) const
 {
-    std::ofstream out(dir / "manifest.txt");
-    if (!out)
-        HERMES_FATAL("cannot write manifest in ", dir.string());
+    const std::string path = (dir / "manifest.txt").string();
+    std::ofstream out(path);
     out << "type=" << type << '\n';
     out << "num_clusters=" << num_clusters << '\n';
     out << "dim=" << dim << '\n';
@@ -22,16 +55,22 @@ Manifest::save(const std::filesystem::path &dir) const
     out << "centroids=" << centroids_file << '\n';
     for (std::size_t c = 0; c < cluster_files.size(); ++c)
         out << "cluster_" << c << '=' << cluster_files[c] << '\n';
+    out.close();
+    if (!out)
+        throw FormatError(FormatErrorCode::Io,
+                          path + ": cannot write manifest");
 }
 
 Manifest
 Manifest::load(const std::filesystem::path &dir)
 {
-    std::ifstream in(dir / "manifest.txt");
+    const std::string path = (dir / "manifest.txt").string();
+    std::ifstream in(path);
     if (!in)
-        HERMES_FATAL("no manifest.txt in ", dir.string(),
-                     " (run hermes_build_index first)");
-    std::map<std::string, std::string> kv;
+        throw FormatError(FormatErrorCode::Io,
+                          path + ": cannot open manifest (run "
+                                 "hermes_build_index first)");
+    Fields kv;
     std::string line;
     while (std::getline(in, line)) {
         auto eq = line.find('=');
@@ -40,15 +79,15 @@ Manifest::load(const std::filesystem::path &dir)
         kv[line.substr(0, eq)] = line.substr(eq + 1);
     }
     Manifest manifest;
-    manifest.type = kv.at("type");
-    manifest.num_clusters = std::stoul(kv.at("num_clusters"));
-    manifest.dim = std::stoul(kv.at("dim"));
-    manifest.codec = kv.at("codec");
-    manifest.corpus_file = kv.at("corpus");
-    manifest.centroids_file = kv.at("centroids");
+    manifest.type = field(kv, "type", path);
+    manifest.num_clusters = number(kv, "num_clusters", path);
+    manifest.dim = number(kv, "dim", path);
+    manifest.codec = field(kv, "codec", path);
+    manifest.corpus_file = field(kv, "corpus", path);
+    manifest.centroids_file = field(kv, "centroids", path);
     for (std::size_t c = 0; c < manifest.num_clusters; ++c)
         manifest.cluster_files.push_back(
-            kv.at("cluster_" + std::to_string(c)));
+            field(kv, "cluster_" + std::to_string(c), path));
     return manifest;
 }
 

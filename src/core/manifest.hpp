@@ -39,10 +39,18 @@ struct Manifest
     std::string centroids_file = "centroids.hmat";
     std::vector<std::string> cluster_files;
 
-    /** Write to @p dir/manifest.txt. */
+    /**
+     * Write to @p dir/manifest.txt.
+     * @throws util::FormatError (Io) when the file cannot be written.
+     */
     void save(const std::filesystem::path &dir) const;
 
-    /** Load from @p dir/manifest.txt. */
+    /**
+     * Load from @p dir/manifest.txt.
+     * @throws util::FormatError: Io when the file cannot be opened,
+     *         Corrupt for a missing key or a count that is not all
+     *         digits.
+     */
     static Manifest load(const std::filesystem::path &dir);
 };
 

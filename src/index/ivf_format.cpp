@@ -287,25 +287,22 @@ IndexFileWriter::IndexFileWriter(const std::string &path,
                                  const IndexMeta &meta,
                                  const std::vector<std::uint64_t> &list_counts,
                                  std::uint64_t codec_blob_bytes)
-    : path_(path), meta_(meta)
+    : path_(path), tmp_path_(path + ".tmp"), meta_(meta)
 {
     HERMES_ASSERT(list_counts.size() == meta.nlist,
                   "list_counts must cover every inverted list");
     table_.resize(list_counts.size());
-    std::uint64_t running = 0;
+    meta_.ntotal = 0;
     for (std::size_t l = 0; l < list_counts.size(); ++l) {
-        table_[l].offset = running;
-        table_[l].count = list_counts[l];
-        running += list_counts[l];
+        table_[l] = {meta_.ntotal, list_counts[l]};
+        meta_.ntotal += list_counts[l];
     }
-    HERMES_ASSERT(running == meta.ntotal,
-                  "list counts must sum to ntotal");
 
     section_length_[kCentroids] =
         meta.n_centroids * meta.dim * sizeof(float);
     section_length_[kListTable] = meta.nlist * sizeof(ListEntry);
-    section_length_[kIds] = meta.ntotal * sizeof(vecstore::VecId);
-    section_length_[kCodes] = meta.ntotal * meta.code_size;
+    section_length_[kIds] = meta_.ntotal * sizeof(vecstore::VecId);
+    section_length_[kCodes] = meta_.ntotal * meta.code_size;
     section_length_[kCodecParams] = codec_blob_bytes;
 
     std::uint64_t cursor = kHeaderBytes;
@@ -320,26 +317,29 @@ IndexFileWriter::IndexFileWriter(const std::string &path,
     }
     file_bytes_ = cursor;
 
-    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    // The bytes go to a temp file that finish() renames over the path,
+    // so a mapping of the file already at the path never sees them.
+    fd_ = ::open(tmp_path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                 0644);
     if (fd_ < 0)
         throw FormatError(FormatErrorCode::Io,
-                          path + ": cannot create index file");
+                          tmp_path_ + ": cannot create index file");
     // Pre-size the file: alignment gaps come out zero-filled for free,
     // and the layout is committed before any payload lands.
     if (::ftruncate(fd_, static_cast<off_t>(file_bytes_)) != 0) {
         ::close(fd_);
-        fd_ = -1;
+        ::unlink(tmp_path_.c_str());
         throw FormatError(FormatErrorCode::Io,
-                          path + ": cannot size index file");
+                          tmp_path_ + ": cannot size index file");
     }
-    write(section_offset_[kListTable], table_.data(),
-          section_length_[kListTable]);
 }
 
 IndexFileWriter::~IndexFileWriter()
 {
     if (fd_ >= 0)
         ::close(fd_);
+    if (!finished_)
+        ::unlink(tmp_path_.c_str());
 }
 
 std::uint64_t
@@ -357,7 +357,7 @@ IndexFileWriter::write(std::uint64_t offset, const void *data, std::size_t n)
             ::pwrite(fd_, p, n, static_cast<off_t>(offset));
         if (wrote <= 0)
             throw FormatError(FormatErrorCode::Io,
-                              path_ + ": short write to index file");
+                              tmp_path_ + ": short write to index file");
         p += wrote;
         offset += static_cast<std::uint64_t>(wrote);
         n -= static_cast<std::size_t>(wrote);
@@ -368,7 +368,10 @@ void
 IndexFileWriter::finish()
 {
     HERMES_ASSERT(!finished_, "IndexFileWriter::finish called twice");
-    finished_ = true;
+    // Written here, not in the constructor: a throw there would skip the
+    // destructor that unlinks the temp file.
+    write(section_offset_[kListTable], table_.data(),
+          section_length_[kListTable]);
 
     // One sequential read-back pass to CRC the payload. Pages written
     // moments ago are still in cache, so this is memory-speed.
@@ -385,7 +388,8 @@ IndexFileWriter::finish()
                 ::pread(fd_, buf.data(), want, static_cast<off_t>(offset));
             if (got <= 0)
                 throw FormatError(FormatErrorCode::Io,
-                                  path_ + ": cannot read back for checksum");
+                                  tmp_path_ +
+                                      ": cannot read back for checksum");
             crc = util::crc32(buf.data(), static_cast<std::size_t>(got), crc);
             offset += static_cast<std::uint64_t>(got);
             remaining -= static_cast<std::uint64_t>(got);
@@ -423,10 +427,15 @@ IndexFileWriter::finish()
     write(0, header, kHeaderBytes);
 
     if (::fsync(fd_) != 0)
-        throw FormatError(FormatErrorCode::Io,
-                          path_ + ": fsync failed");
+        throw FormatError(FormatErrorCode::Io, tmp_path_ + ": fsync failed");
     ::close(fd_);
     fd_ = -1;
+    // Publish: a mapping of the old file keeps its inode; new opens see
+    // the finished bytes.
+    if (::rename(tmp_path_.c_str(), path_.c_str()) != 0)
+        throw FormatError(FormatErrorCode::Io,
+                          path_ + ": cannot publish index file");
+    finished_ = true;
 }
 
 } // namespace ivff

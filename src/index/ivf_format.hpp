@@ -141,15 +141,17 @@ ParsedIndex parseIndexFile(const util::MmapFile &file,
  * Low-level v3 writer shared by IvfIndex::save and the streaming
  * builder: computes the section layout from per-list counts up front,
  * lets callers pwrite section payloads at absolute offsets, then
- * finalizes CRCs + header in one pass.
+ * finalizes CRCs + header in one pass. It writes `<path>.tmp` and
+ * renames it over `<path>`, so a live mapping of `<path>` keeps its
+ * bytes.
  */
 class IndexFileWriter
 {
   public:
     /**
-     * Create/truncate @p path and fix the layout.
-     * @param meta             Header fields (ntotal must equal the sum
-     *                         of @p list_counts).
+     * Create/truncate `<path>.tmp` and fix the layout.
+     * @param meta             Header fields (ntotal is the sum of
+     *                         @p list_counts).
      * @param list_counts      Vectors per inverted list (size nlist).
      * @param codec_blob_bytes Length of the codec parameter section.
      * @throws util::FormatError (Io) when the file cannot be created.
@@ -158,7 +160,7 @@ class IndexFileWriter
                     const std::vector<std::uint64_t> &list_counts,
                     std::uint64_t codec_blob_bytes);
 
-    /** Closes (without finalizing) if finish() was never called. */
+    /** Closes and unlinks `<path>.tmp` unless finish() succeeded. */
     ~IndexFileWriter();
 
     IndexFileWriter(const IndexFileWriter &) = delete;
@@ -175,16 +177,15 @@ class IndexFileWriter
 
     /**
      * Compute section CRCs (one sequential read-back of the file),
-     * write the header, fsync and close.
+     * write the header, fsync, close and rename over `<path>`.
+     * @throws util::FormatError (Io), e.g. when `<path>` is a directory.
      */
     void finish();
-
-    /** Total file size the layout commits to. */
-    std::uint64_t fileBytes() const { return file_bytes_; }
 
   private:
     int fd_ = -1;
     std::string path_;
+    std::string tmp_path_;
     IndexMeta meta_;
     std::vector<ListEntry> table_;
     std::uint64_t section_offset_[kNumSections] = {};

@@ -47,11 +47,12 @@ struct PhaseHistograms
 IvfIndex::IvfIndex(std::size_t dim, vecstore::Metric metric,
                    const IvfConfig &config)
     : dim_(dim), metric_(metric), config_(config),
-      centroids_(dim), codec_(quant::makeCodec(config.codec, dim))
+      centroids_(dim), codec_(quant::makeCodec(config.codec, dim)),
+      code_size_(codec_->codeSize())
 {
     HERMES_ASSERT(dim_ > 0, "IvfIndex needs dim > 0");
     HERMES_ASSERT(config_.nlist > 0, "IvfIndex needs nlist > 0");
-    lists_.resize(config_.nlist);
+    adopt({std::vector<ivff::ListEntry>(config_.nlist), {}, {}});
 }
 
 std::size_t
@@ -111,31 +112,24 @@ IvfIndex::addImpl(const vecstore::Matrix &data,
     HERMES_ASSERT(data.rows() == ids.size(), "add: row/id count mismatch");
     HERMES_ASSERT(data.dim() == dim_, "add: dim mismatch");
 
-    // Rows arrive in order, so each list keeps insertion order and the
-    // result is identical to a row-by-row add().
-    const std::size_t code_size = codec_->codeSize();
-    encodeRows(data, pool,
-               [&](std::size_t i, std::uint32_t list,
-                   const std::uint8_t *code) {
-                   auto &il = lists_[list];
-                   il.ids.push_back(ids[i]);
-                   il.codes.insert(il.codes.end(), code, code + code_size);
-               });
-    ntotal_ += ids.size();
+    // New rows append to their lists in row order, so the result is
+    // identical to a row-by-row add().
+    relayout(std::vector<std::uint8_t>(ntotal_, 1), ids,
+             encodeRows(data, pool));
 }
 
-void
-IvfIndex::encodeRows(const vecstore::Matrix &data, util::ThreadPool *pool,
-                     const RowSink &sink) const
+IvfIndex::EncodedRows
+IvfIndex::encodeRows(const vecstore::Matrix &data,
+                     util::ThreadPool *pool) const
 {
     const std::size_t n = data.rows();
-    const std::size_t code_size = codec_->codeSize();
-    std::vector<std::uint32_t> assign(n);
-    std::vector<std::uint8_t> codes(n * code_size);
+    EncodedRows rows;
+    rows.lists.resize(n);
+    rows.codes.resize(n * code_size_);
     auto assignAndEncode = [&](std::size_t i) {
         auto v = data.row(i);
-        assign[i] = cluster::nearestCentroid(v, centroids_);
-        codec_->encode(v, codes.data() + i * code_size);
+        rows.lists[i] = cluster::nearestCentroid(v, centroids_);
+        codec_->encode(v, rows.codes.data() + i * code_size_);
     };
     if (pool != nullptr) {
         pool->parallelFor(n, assignAndEncode);
@@ -143,8 +137,60 @@ IvfIndex::encodeRows(const vecstore::Matrix &data, util::ThreadPool *pool,
         for (std::size_t i = 0; i < n; ++i)
             assignAndEncode(i);
     }
-    for (std::size_t i = 0; i < n; ++i)
-        sink(i, assign[i], codes.data() + i * code_size);
+    return rows;
+}
+
+void
+IvfIndex::relayout(const std::vector<std::uint8_t> &keep,
+                   const std::vector<vecstore::VecId> &ids,
+                   const EncodedRows &rows)
+{
+    // New rows grouped by list; the stable sort keeps row order within
+    // a list.
+    std::vector<std::size_t> order(ids.size());
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+        return rows.lists[a] < rows.lists[b];
+    });
+    const auto total = std::count(keep.begin(), keep.end(), 1) + ids.size();
+
+    OwnedSections next;
+    next.table.resize(config_.nlist);
+    next.ids.reserve(total);
+    next.codes.reserve(total * code_size_);
+    auto append = [&](const vecstore::VecId *id, const std::uint8_t *code,
+                      std::size_t n) {
+        next.ids.insert(next.ids.end(), id, id + n);
+        next.codes.insert(next.codes.end(), code, code + n * code_size_);
+    };
+    std::size_t at = 0; // next entry of order
+    for (std::size_t l = 0; l < config_.nlist; ++l) {
+        const ivff::ListEntry &old = sections_.table[l];
+        const std::uint64_t end = old.offset + old.count;
+        next.table[l].offset = next.ids.size();
+        // The kept old rows, one run between dropped rows at a time.
+        for (std::uint64_t r = old.offset, run; r < end; r = run + 1) {
+            for (run = r; run < end && keep[run]; ++run) {
+            }
+            append(sections_.ids + r, sections_.codes + r * code_size_,
+                   run - r);
+        }
+        for (; at < order.size() && rows.lists[order[at]] == l; ++at) {
+            append(&ids[order[at]],
+                   rows.codes.data() + order[at] * code_size_, 1);
+        }
+        next.table[l].count = next.ids.size() - next.table[l].offset;
+    }
+    adopt(std::move(next));
+}
+
+void
+IvfIndex::adopt(OwnedSections owned)
+{
+    owned_ = std::move(owned);
+    sections_ = {owned_.table.data(), owned_.ids.data(),
+                 owned_.codes.data()};
+    ntotal_ = owned_.ids.size();
 }
 
 void
@@ -444,47 +490,25 @@ IvfIndex::searchBatch(const vecstore::Matrix &queries, std::size_t k,
 std::size_t
 IvfIndex::memoryBytes() const
 {
-    // Heap footprint only: a mapped index reports just its centroid
-    // copy here — the file-backed bytes show up in mappedBytes() /
-    // mappedResidentBytes() instead, because the page cache owns them
-    // and can drop them under pressure.
-    std::size_t bytes = centroids_.memoryBytes();
-    for (const auto &il : lists_) {
-        bytes += il.ids.size() * sizeof(vecstore::VecId);
-        bytes += il.codes.size();
-    }
-    return bytes;
-}
-
-std::size_t
-IvfIndex::mappedBytes() const
-{
-    return mapped_ ? mapped_->file.size() : 0;
-}
-
-std::size_t
-IvfIndex::mappedResidentBytes() const
-{
-    return mapped_ ? mapped_->file.residentBytes() : 0;
+    // Heap footprint only: a mapped index owns no sections — the page
+    // cache owns its bytes (mappedBytes() / mappedResidentBytes()).
+    return centroids_.memoryBytes() +
+           owned_.table.size() * sizeof(ivff::ListEntry) +
+           owned_.ids.size() * sizeof(vecstore::VecId) + owned_.codes.size();
 }
 
 IvfIndex::ListRef
 IvfIndex::listRef(std::size_t list) const
 {
-    if (mapped_) {
-        const ivff::ListEntry &e = mapped_->table[list];
-        return {mapped_->ids + e.offset,
-                mapped_->codes + e.offset * mapped_->code_size,
-                static_cast<std::size_t>(e.count)};
-    }
-    const InvertedList &il = lists_[list];
-    return {il.ids.data(), il.codes.data(), il.ids.size()};
+    const ivff::ListEntry &e = sections_.table[list];
+    return {sections_.ids + e.offset, sections_.codes + e.offset * code_size_,
+            static_cast<std::size_t>(e.count)};
 }
 
 void
 IvfIndex::assertMutable(const char *op) const
 {
-    if (mapped_) {
+    if (isMapped()) {
         throw std::logic_error(
             std::string("IvfIndex::") + op +
             ": index is a read-only mmap view (reopen with load() to "
@@ -502,34 +526,13 @@ std::size_t
 IvfIndex::removeIds(const std::vector<vecstore::VecId> &ids)
 {
     assertMutable("removeIds");
-    std::unordered_set<vecstore::VecId> doomed(ids.begin(), ids.end());
-    const std::size_t code_size = codec_->codeSize();
-    std::size_t removed = 0;
-    for (auto &il : lists_) {
-        std::size_t write = 0;
-        for (std::size_t read = 0; read < il.ids.size(); ++read) {
-            if (doomed.count(il.ids[read])) {
-                ++removed;
-                continue;
-            }
-            if (write != read) {
-                il.ids[write] = il.ids[read];
-                std::copy(il.codes.begin() +
-                              static_cast<std::ptrdiff_t>(read * code_size),
-                          il.codes.begin() +
-                              static_cast<std::ptrdiff_t>((read + 1) *
-                                                          code_size),
-                          il.codes.begin() +
-                              static_cast<std::ptrdiff_t>(write *
-                                                          code_size));
-            }
-            ++write;
-        }
-        il.ids.resize(write);
-        il.codes.resize(write * code_size);
-    }
-    ntotal_ -= removed;
-    return removed;
+    const std::unordered_set<vecstore::VecId> doomed(ids.begin(), ids.end());
+    std::vector<std::uint8_t> keep(ntotal_);
+    for (std::size_t r = 0; r < ntotal_; ++r)
+        keep[r] = doomed.count(sections_.ids[r]) == 0;
+    const std::size_t before = ntotal_;
+    relayout(keep, {}, {});
+    return before - ntotal_;
 }
 
 std::size_t
@@ -552,8 +555,6 @@ IvfIndex::openFile(const std::string &path,
     meta.metric = metric_;
     meta.dim = dim_;
     meta.nlist = config_.nlist;
-    meta.ntotal = std::accumulate(counts.begin(), counts.end(),
-                                  std::uint64_t(0));
     meta.code_size = codec_->codeSize();
     meta.n_centroids = centroids_.rows();
     meta.trained = trained_;
@@ -577,40 +578,28 @@ IvfIndex::save(const std::string &path) const
 {
     std::vector<std::uint64_t> counts(config_.nlist);
     for (std::size_t l = 0; l < config_.nlist; ++l)
-        counts[l] = listRef(l).size;
+        counts[l] = sections_.table[l].count;
 
     auto w = openFile(path, counts);
-    const std::uint64_t ids_base = w->sectionOffset(ivff::kIds);
-    const std::uint64_t codes_base = w->sectionOffset(ivff::kCodes);
-    const std::size_t code_size = codec_->codeSize();
-    const auto &table = w->table();
-    for (std::size_t l = 0; l < config_.nlist; ++l) {
-        const ListRef il = listRef(l);
-        if (il.size == 0)
-            continue;
-        w->write(ids_base + table[l].offset * sizeof(vecstore::VecId),
-                 il.ids, il.size * sizeof(vecstore::VecId));
-        w->write(codes_base + table[l].offset * code_size, il.codes,
-                 il.size * code_size);
-    }
+    w->write(w->sectionOffset(ivff::kIds), sections_.ids,
+             ntotal_ * sizeof(vecstore::VecId));
+    w->write(w->sectionOffset(ivff::kCodes), sections_.codes,
+             ntotal_ * code_size_);
     w->finish();
 }
 
 std::unique_ptr<IvfIndex>
 IvfIndex::load(const std::string &path)
 {
-    // One parser and one list reader for both paths: load() maps the
-    // file just long enough to validate it and copy every list out
-    // through listRef() into heap-owned lists.
+    // One parser for both paths: load() maps the file just long enough
+    // to validate it and copy each list section out, then drops it.
     auto idx = openMapped(path);
-    const std::size_t code_size = idx->codec_->codeSize();
-    for (std::size_t l = 0; l < idx->config_.nlist; ++l) {
-        const ListRef mapped = idx->listRef(l);
-        auto &il = idx->lists_[l];
-        il.ids.assign(mapped.ids, mapped.ids + mapped.size);
-        il.codes.assign(mapped.codes, mapped.codes + mapped.size * code_size);
-    }
-    idx->mapped_.reset();
+    const Sections &mapped = idx->sections_;
+    const std::size_t n = idx->ntotal_;
+    idx->adopt({{mapped.table, mapped.table + idx->config_.nlist},
+                {mapped.ids, mapped.ids + n},
+                {mapped.codes, mapped.codes + n * idx->code_size_}});
+    idx->file_.reset();
     return idx;
 }
 
@@ -645,18 +634,12 @@ IvfIndex::openMapped(const std::string &path, const MmapOptions &options)
     idx->trained_ = meta.trained;
     idx->ntotal_ = static_cast<std::size_t>(meta.ntotal);
 
-    idx->centroids_ = vecstore::Matrix(idx->dim_);
-    if (meta.n_centroids > 0) {
-        // The only copied payload: nlist x dim floats, a rounding error
-        // next to the code sections, and centroids() must expose a
-        // Matrix anyway.
-        idx->centroids_.reserveRows(meta.n_centroids);
-        for (std::uint64_t i = 0; i < meta.n_centroids; ++i) {
-            idx->centroids_.append(vecstore::VecView(
-                parsed.centroids + i * meta.dim,
-                static_cast<std::size_t>(meta.dim)));
-        }
-    }
+    // The only copied payload: nlist x dim floats, a rounding error next
+    // to the code sections, and centroids() must expose a Matrix anyway.
+    idx->centroids_ = vecstore::Matrix(
+        static_cast<std::size_t>(meta.n_centroids), idx->dim_);
+    std::copy_n(parsed.centroids, meta.n_centroids * meta.dim,
+                idx->centroids_.data());
 
     if (parsed.codec_blob == nullptr) {
         throw util::FormatError(util::FormatErrorCode::Corrupt,
@@ -681,13 +664,12 @@ IvfIndex::openMapped(const std::string &path, const MmapOptions &options)
 
     // The parsed pointers target the mapping itself; moving the
     // MmapFile moves ownership, not the mapped address, so they stay
-    // valid for the life of mapped_.
-    idx->mapped_ = std::make_unique<MappedState>(
-        MappedState{std::move(file), parsed.list_table, parsed.ids,
-                    parsed.codes,
-                    static_cast<std::size_t>(parsed.meta.code_size)});
+    // valid for the life of file_.
+    idx->owned_ = OwnedSections();
+    idx->sections_ = {parsed.list_table, parsed.ids, parsed.codes};
+    idx->file_ = std::move(file);
     if (options.prefault)
-        idx->mapped_->file.advise(util::MapAdvice::WillNeed);
+        idx->file_.advise(util::MapAdvice::WillNeed);
     return idx;
 }
 

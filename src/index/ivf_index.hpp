@@ -10,7 +10,6 @@
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -129,8 +128,8 @@ class IvfIndex : public AnnIndex
     void save(const std::string &path) const;
 
     /**
-     * Load an index previously written by save() into heap-owned lists
-     * (the mutable path: the result accepts add/removeIds).
+     * Load an index previously written by save() into heap-owned copies
+     * of its sections (the mutable path: accepts add/removeIds).
      * @throws util::FormatError on a corrupt, truncated or alien file.
      */
     static std::unique_ptr<IvfIndex> load(const std::string &path);
@@ -170,13 +169,13 @@ class IvfIndex : public AnnIndex
     static std::unique_ptr<IvfIndex> openMapped(const std::string &path);
 
     /** True when this index serves from a mapped file (openMapped). */
-    bool isMapped() const { return mapped_ != nullptr; }
+    bool isMapped() const { return file_.valid(); }
 
     /** Bytes of the backing mapping (0 when not mapped). */
-    std::size_t mappedBytes() const;
+    std::size_t mappedBytes() const { return file_.size(); }
 
     /** Memory-resident bytes of the backing mapping (mincore). */
-    std::size_t mappedResidentBytes() const;
+    std::size_t mappedResidentBytes() const { return file_.residentBytes(); }
 
     /** The vector codec (read-only; used by the streaming builder). */
     const quant::Codec &codec() const { return *codec_; }
@@ -198,17 +197,28 @@ class IvfIndex : public AnnIndex
                  const std::vector<vecstore::VecId> &ids,
                  util::ThreadPool *pool);
 
-    /** Receives one encoded row: (row index, list, code bytes). */
-    using RowSink =
-        std::function<void(std::size_t, std::uint32_t, const std::uint8_t *)>;
+    /** A batch of rows, assigned and encoded (row-major codes). */
+    struct EncodedRows
+    {
+        std::vector<std::uint32_t> lists;
+        std::vector<std::uint8_t> codes;
+    };
 
     /**
      * The row encoder of add() and IvfStreamWriter::add: nearest-centroid
-     * assignment and encoding, fanned out over @p pool when one is given,
-     * then every row handed to @p sink in row order (pool-invariant).
+     * assignment and encoding, fanned out over @p pool when one is given
+     * (the result is pool-invariant).
      */
-    void encodeRows(const vecstore::Matrix &data, util::ThreadPool *pool,
-                    const RowSink &sink) const;
+    EncodedRows encodeRows(const vecstore::Matrix &data,
+                           util::ThreadPool *pool) const;
+
+    /**
+     * The mutation pass of add() and removeIds(): new exact-size sections
+     * holding, per list, its old rows with @p keep set, then its @p rows.
+     */
+    void relayout(const std::vector<std::uint8_t> &keep,
+                  const std::vector<vecstore::VecId> &ids,
+                  const EncodedRows &rows);
 
     /**
      * The file header of save() and IvfStreamWriter::finish: a v3 writer
@@ -244,17 +254,26 @@ class IvfIndex : public AnnIndex
     /** Add one executed plan's work counters to @p stats (may be null). */
     void foldStats(const ProbePlan &plan, SearchStats *stats) const;
 
-    struct InvertedList
+    /** The file's list table, ids and codes: into owned_ or file_. */
+    struct Sections
     {
-        std::vector<vecstore::VecId> ids;
-        std::vector<std::uint8_t> codes; // ids.size() * codeSize bytes
+        const ivff::ListEntry *table;
+        const vecstore::VecId *ids;
+        const std::uint8_t *codes;
     };
 
-    /**
-     * Borrowed view of one inverted list — points into either the
-     * heap-owned lists_ or the mapped file. Every reader goes through
-     * this so the scan kernels are storage-agnostic.
-     */
+    /** Exact-size heap sections (empty for a mapped index). */
+    struct OwnedSections
+    {
+        std::vector<ivff::ListEntry> table;
+        std::vector<vecstore::VecId> ids;
+        std::vector<std::uint8_t> codes;
+    };
+
+    /** Own @p owned and serve from it. */
+    void adopt(OwnedSections owned);
+
+    /** Borrowed view of one inverted list. */
     struct ListRef
     {
         const vecstore::VecId *ids;
@@ -262,16 +281,6 @@ class IvfIndex : public AnnIndex
         std::size_t size;
     };
     ListRef listRef(std::size_t list) const;
-
-    /** Mapped-mode state: the mapping plus typed views into it. */
-    struct MappedState
-    {
-        util::MmapFile file;
-        const ivff::ListEntry *table;
-        const vecstore::VecId *ids;
-        const std::uint8_t *codes;
-        std::size_t code_size;
-    };
 
     /** Throws std::logic_error when this index is a mapped view. */
     void assertMutable(const char *op) const;
@@ -284,8 +293,10 @@ class IvfIndex : public AnnIndex
     vecstore::Matrix centroids_;
     std::unique_ptr<quant::Codec> codec_;
     std::unique_ptr<HnswIndex> coarse_graph_; ///< set when hnsw_coarse
-    std::vector<InvertedList> lists_;
-    std::unique_ptr<MappedState> mapped_; ///< set by openMapped()
+    std::size_t code_size_;
+    OwnedSections owned_;
+    util::MmapFile file_; ///< the mapping, set by openMapped()
+    Sections sections_{};
 };
 
 } // namespace index

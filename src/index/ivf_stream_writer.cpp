@@ -16,6 +16,13 @@ namespace {
 constexpr std::size_t kRecordHeadBytes =
     sizeof(std::uint32_t) + sizeof(vecstore::VecId);
 
+/** One list's scatter buffer: records not yet flushed to the output. */
+struct ListBuffer
+{
+    std::vector<vecstore::VecId> ids;
+    std::vector<std::uint8_t> codes;
+};
+
 } // namespace
 
 IvfStreamWriter::IvfStreamWriter(const IvfIndex &prototype,
@@ -35,16 +42,12 @@ IvfStreamWriter::IvfStreamWriter(const IvfIndex &prototype,
     HERMES_ASSERT(prototype_.size() == 0,
                   "IvfStreamWriter prototype must have empty lists (its "
                   "vectors would not reach the output)");
-    spill_path_ = options_.temp_path.empty() ? path + ".spill"
-                                             : options_.temp_path;
+    spill_path_ = path + ".spill";
     spill_ = std::fopen(spill_path_.c_str(), "wb+");
     if (spill_ == nullptr) {
         throw util::FormatError(util::FormatErrorCode::Io,
                                 spill_path_ + ": cannot create spill file");
     }
-    // Remove a stale partial output up front so a crash mid-build never
-    // leaves yesterday's index masquerading as today's.
-    std::remove(path_.c_str());
 }
 
 IvfStreamWriter::~IvfStreamWriter()
@@ -66,23 +69,21 @@ IvfStreamWriter::add(const vecstore::Matrix &data,
     HERMES_ASSERT(data.dim() == prototype_.dim(),
                   "stream add: dim mismatch");
 
-    // The prototype's row encoder (the one add() uses) hands rows over in
-    // order, so the record stream is identical with or without a pool.
-    std::vector<std::uint8_t> record(kRecordHeadBytes + code_size_);
-    prototype_.encodeRows(
-        data, pool,
-        [&](std::size_t i, std::uint32_t list, const std::uint8_t *code) {
-            std::memcpy(record.data(), &list, sizeof(list));
-            std::memcpy(record.data() + sizeof(list), &ids[i],
-                        sizeof(vecstore::VecId));
-            std::memcpy(record.data() + kRecordHeadBytes, code, code_size_);
-            if (std::fwrite(record.data(), record.size(), 1, spill_) != 1) {
-                throw util::FormatError(util::FormatErrorCode::Io,
-                                        spill_path_ +
-                                            ": spill write failed");
-            }
-            ++counts_[list];
-        });
+    // The prototype's row encoder (the one add() uses) is pool-invariant
+    // and records are spilled in row order, so the record stream is
+    // identical with or without a pool.
+    const auto rows = prototype_.encodeRows(data, pool);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::uint32_t list = rows.lists[i];
+        if (std::fwrite(&list, sizeof(list), 1, spill_) != 1 ||
+            std::fwrite(&ids[i], sizeof(vecstore::VecId), 1, spill_) != 1 ||
+            std::fwrite(rows.codes.data() + i * code_size_, code_size_, 1,
+                        spill_) != 1) {
+            throw util::FormatError(util::FormatErrorCode::Io,
+                                    spill_path_ + ": spill write failed");
+        }
+        ++counts_[list];
+    }
     ntotal_ += ids.size();
 }
 
@@ -103,12 +104,12 @@ IvfStreamWriter::finish()
     const auto &table = w->table();
     const std::size_t nlist = counts_.size();
 
-    std::vector<IvfIndex::InvertedList> buffers(nlist);
+    std::vector<ListBuffer> buffers(nlist);
     std::vector<std::uint64_t> written(nlist, 0);
     std::size_t buffered_bytes = 0;
 
     auto flushList = [&](std::size_t l) {
-        IvfIndex::InvertedList &buf = buffers[l];
+        ListBuffer &buf = buffers[l];
         const std::size_t m = buf.ids.size();
         if (m == 0)
             return;
@@ -119,7 +120,7 @@ IvfStreamWriter::finish()
                  m * code_size_);
         written[l] += m;
         buffered_bytes -= m * (sizeof(vecstore::VecId) + code_size_);
-        buf = IvfIndex::InvertedList(); // release the flushed capacity
+        buf = ListBuffer(); // release the flushed capacity
     };
 
     if (std::fflush(spill_) != 0 || std::fseek(spill_, 0, SEEK_SET) != 0) {
@@ -145,7 +146,7 @@ IvfStreamWriter::finish()
             vecstore::VecId id;
             std::memcpy(&list, rec, sizeof(list));
             std::memcpy(&id, rec + sizeof(list), sizeof(id));
-            IvfIndex::InvertedList &buf = buffers[list];
+            ListBuffer &buf = buffers[list];
             buf.ids.push_back(id);
             buf.codes.insert(buf.codes.end(), rec + kRecordHeadBytes,
                              rec + stride);

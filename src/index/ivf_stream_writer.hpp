@@ -36,9 +36,6 @@ class IvfStreamWriter
     {
         /** Scatter-phase flush budget across all list buffers. */
         std::size_t buffer_budget_bytes = std::size_t(64) << 20;
-
-        /** Temp spill file (default: output path + ".spill"). */
-        std::string temp_path;
     };
 
     /**
@@ -75,13 +72,11 @@ class IvfStreamWriter
     /**
      * Open the output through the prototype's file header (the one
      * save() writes), scatter the spilled records into their lists,
-     * write checksums, delete the spill file.
+     * write checksums, publish the file by rename (a file already at
+     * the output path is untouched until then), delete the spill file.
      * @return Total vectors written.
      */
     std::uint64_t finish();
-
-    /** Vectors spilled so far. */
-    std::uint64_t pending() const { return ntotal_; }
 
   private:
     const IvfIndex &prototype_;

@@ -4,13 +4,17 @@
  * reloaded and mmap-opened indices across every codec and both SIMD
  * arms; adversarial rejection of every truncation prefix and every
  * single-bit flip; read-only semantics; concurrent readers over one
- * shared mapping; and byte-identity of the bounded-memory stream
- * writer against save().
+ * shared mapping; byte-identity of the bounded-memory stream writer
+ * against save(); add/removeIds sequences against a per-list model;
+ * and publishing a file by rename, so a live mapping never sees a
+ * rebuild's bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -18,9 +22,12 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/kmeans.hpp"
 #include "index/ivf_format.hpp"
 #include "index/ivf_index.hpp"
 #include "index/ivf_stream_writer.hpp"
+#include "util/mmap_file.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 #include "util/threadpool.hpp"
 #include "vecstore/simd_dispatch.hpp"
@@ -505,6 +512,284 @@ TEST(StreamWriter, ByteIdenticalToSave)
         std::filesystem::remove(ref_path);
         std::filesystem::remove(stream_path);
     }
+}
+
+/**
+ * Per-list model of an index's contents: each list holds (id, code)
+ * rows in the order add() and removeIds() must leave them — survivors
+ * keep their order, new rows append in row order.
+ */
+struct ListModel
+{
+    struct Row
+    {
+        vecstore::VecId id;
+        std::vector<std::uint8_t> code;
+    };
+    std::vector<std::vector<Row>> lists;
+
+    void add(const IvfIndex &ivf, const Matrix &rows,
+             const std::vector<vecstore::VecId> &ids)
+    {
+        for (std::size_t i = 0; i < rows.rows(); ++i) {
+            Row row{ids[i], std::vector<std::uint8_t>(
+                                ivf.codec().codeSize())};
+            ivf.codec().encode(rows.row(i), row.code.data());
+            lists[cluster::nearestCentroid(rows.row(i), ivf.centroids())]
+                .push_back(std::move(row));
+        }
+    }
+
+    std::size_t remove(const std::vector<vecstore::VecId> &ids)
+    {
+        std::size_t removed = 0;
+        for (auto &list : lists) {
+            const auto kept = std::remove_if(
+                list.begin(), list.end(), [&](const Row &row) {
+                    return std::find(ids.begin(), ids.end(), row.id) !=
+                           ids.end();
+                });
+            removed += static_cast<std::size_t>(list.end() - kept);
+            list.erase(kept, list.end());
+        }
+        return removed;
+    }
+
+    std::vector<vecstore::VecId> ids() const
+    {
+        std::vector<vecstore::VecId> out;
+        for (const auto &list : lists) {
+            for (const Row &row : list)
+                out.push_back(row.id);
+        }
+        return out;
+    }
+};
+
+/** Save @p ivf to @p path and compare the parsed file with @p model. */
+void
+expectFileMatchesModel(const IvfIndex &ivf, const ListModel &model,
+                       const std::filesystem::path &path)
+{
+    ivf.save(path.string());
+    util::MmapFile file(path.string());
+    const auto parsed = ivff::parseIndexFile(file);
+    const std::size_t code_size = ivf.codec().codeSize();
+    ASSERT_EQ(parsed.meta.nlist, model.lists.size());
+    std::uint64_t offset = 0;
+    for (std::size_t l = 0; l < model.lists.size(); ++l) {
+        const auto &entry = parsed.list_table[l];
+        const auto &rows = model.lists[l];
+        ASSERT_EQ(entry.offset, offset) << "list " << l;
+        ASSERT_EQ(entry.count, rows.size()) << "list " << l;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const std::uint64_t at = offset + i;
+            ASSERT_EQ(parsed.ids[at], rows[i].id) << "list " << l;
+            ASSERT_EQ(std::memcmp(parsed.codes + at * code_size,
+                                  rows[i].code.data(), code_size),
+                      0)
+                << "list " << l << " row " << i;
+        }
+        offset += entry.count;
+    }
+    EXPECT_EQ(parsed.meta.ntotal, offset);
+    EXPECT_EQ(ivf.size(), offset);
+}
+
+/**
+ * Seeded interleavings of add() and removeIds(): batches of 0, 1 and
+ * many rows, duplicate ids, unknown and repeated ids in a removal, a
+ * list emptied and the whole index emptied. After every step the saved
+ * file must hold exactly the model's lists, and saving again after
+ * load() or openMapped() must reproduce the same bytes.
+ */
+TEST(IvfMutation, RandomSequenceMatchesListModel)
+{
+    const auto &data = sharedData();
+    constexpr std::size_t kDim = 8;
+    constexpr int kSteps = 40;
+    Matrix pool(kDim);
+    for (std::size_t i = 0; i < 600; ++i)
+        pool.append(data.base.row(i).first(kDim));
+
+    for (const char *codec : {"Flat", "SQ8"}) {
+        SCOPED_TRACE(codec);
+        IvfConfig config;
+        config.nlist = 6;
+        config.codec = codec;
+        IvfIndex ivf(kDim, Metric::L2, config);
+        ivf.train(pool);
+        ListModel model;
+        model.lists.resize(config.nlist);
+
+        util::Rng rng(0xadd5 + std::strlen(codec));
+        vecstore::VecId next_id = 0;
+        const auto path = tempIndexPath("mutation");
+        const auto again = tempIndexPath("mutation_again");
+        for (int step = 0; step < kSteps; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            const auto live = model.ids();
+            const std::uint64_t op = rng.uniformInt(5);
+            if (step == kSteps / 2 || (op == 4 && !live.empty())) {
+                // Empty the whole index.
+                EXPECT_EQ(ivf.removeIds(live), model.remove(live));
+            } else if (op == 3 && !live.empty()) {
+                // Empty one list.
+                const auto &list =
+                    model.lists[rng.uniformInt(config.nlist)];
+                std::vector<vecstore::VecId> ids;
+                for (const auto &row : list)
+                    ids.push_back(row.id);
+                EXPECT_EQ(ivf.removeIds(ids), model.remove(ids));
+            } else if (op == 2 && !live.empty()) {
+                // Some live ids, some twice, and some never added.
+                std::vector<vecstore::VecId> ids;
+                const std::uint64_t n = 1 + rng.uniformInt(8);
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    const auto id = live[rng.uniformInt(live.size())];
+                    ids.push_back(id);
+                    if (rng.uniformInt(3) == 0)
+                        ids.push_back(id);
+                    if (rng.uniformInt(3) == 0)
+                        ids.push_back(next_id + 1000 +
+                                      static_cast<vecstore::VecId>(i));
+                }
+                EXPECT_EQ(ivf.removeIds(ids), model.remove(ids));
+            } else {
+                const std::uint64_t shape = rng.uniformInt(3);
+                const std::size_t n =
+                    shape == 0 ? 0 : shape == 1 ? 1 : 2 + rng.uniformInt(80);
+                Matrix rows(kDim);
+                std::vector<vecstore::VecId> ids;
+                for (std::size_t i = 0; i < n; ++i) {
+                    rows.append(pool.row(rng.uniformInt(pool.rows())));
+                    // Now and then re-add an id that is already live.
+                    ids.push_back(!live.empty() && rng.uniformInt(10) == 0
+                                      ? live[rng.uniformInt(live.size())]
+                                      : next_id++);
+                }
+                ivf.add(rows, ids);
+                model.add(ivf, rows, ids);
+            }
+            expectFileMatchesModel(ivf, model, path);
+            if (HasFatalFailure())
+                return;
+
+            const auto saved = readFile(path);
+            IvfIndex::load(path.string())->save(again.string());
+            EXPECT_EQ(readFile(again), saved) << "save -> load -> save";
+            IvfIndex::openMapped(path.string())->save(again.string());
+            EXPECT_EQ(readFile(again), saved) << "save -> openMapped -> save";
+        }
+        std::filesystem::remove(path);
+        std::filesystem::remove(again);
+    }
+}
+
+/**
+ * A mapped index keeps answering from the file it opened while a
+ * different index of the same size is saved to its path: save()
+ * publishes a new file instead of rewriting the mapped one.
+ */
+TEST(IndexPublish, MappedViewSurvivesSaveOverItsPath)
+{
+    const auto &data = sharedData();
+    auto first = buildIndex("SQ8", Metric::L2);
+    IvfIndex second(data.base.dim(), Metric::L2, first.config());
+    second.train(data.base);
+    std::vector<vecstore::VecId> ids(data.base.rows());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        ids[i] = static_cast<vecstore::VecId>(1000000 + i);
+    second.add(data.base, ids);
+
+    const auto path = tempIndexPath("publish");
+    const auto other = tempIndexPath("publish_other");
+    first.save(path.string());
+    second.save(other.string());
+    ASSERT_EQ(std::filesystem::file_size(path),
+              std::filesystem::file_size(other));
+    ASSERT_NE(readFile(path), readFile(other));
+
+    auto mapped = IvfIndex::openMapped(path.string());
+    SearchParams params;
+    params.nprobe = 8;
+    const auto before = mapped->searchBatch(data.queries, 10, params);
+    second.save(path.string());
+    EXPECT_TRUE(mapped->searchBatch(data.queries, 10, params) == before);
+    expectSearchParity(first, *mapped);
+
+    // New opens see the published index.
+    EXPECT_EQ(readFile(path), readFile(other));
+    EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+    std::filesystem::remove(path);
+    std::filesystem::remove(other);
+}
+
+/**
+ * An empty directory where the stream writer's output must go is an Io
+ * error by finish(), like a save() to the same path, and the directory
+ * is left alone.
+ */
+TEST(IndexPublish, StreamWriterRejectsDirectoryAtOutput)
+{
+    const auto &data = sharedData();
+    IvfConfig config;
+    config.nlist = 16;
+    IvfIndex prototype(data.base.dim(), Metric::L2, config);
+    prototype.train(data.base);
+
+    const auto path = tempIndexPath("dir_output");
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directory(path);
+    try {
+        IvfStreamWriter writer(prototype, path.string());
+        std::vector<vecstore::VecId> ids(data.base.rows());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            ids[i] = static_cast<vecstore::VecId>(i);
+        writer.add(data.base, ids);
+        (void)writer.finish();
+        ADD_FAILURE() << "stream writer replaced a directory";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Io) << e.what();
+    }
+    EXPECT_TRUE(std::filesystem::is_directory(path));
+    EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+    EXPECT_FALSE(std::filesystem::exists(path.string() + ".spill"));
+    std::filesystem::remove_all(path);
+}
+
+/**
+ * A writer destroyed before finish() leaves no file behind: neither a
+ * partial index at the path nor its temp file, and an index already at
+ * the path keeps its bytes.
+ */
+TEST(IndexPublish, UnfinishedWriterLeavesNoFile)
+{
+    const auto path = tempIndexPath("unfinished");
+    const auto tmp = path.string() + ".tmp";
+    const auto writeUnfinished = [&] {
+        ivff::IndexMeta meta;
+        meta.dim = 24;
+        meta.nlist = 1;
+        meta.code_size = 24 * sizeof(float);
+        meta.codec_spec = "Flat";
+        ivff::IndexFileWriter w(path.string(), meta, {0}, 8);
+        const std::uint64_t blob = 24;
+        w.write(w.sectionOffset(ivff::kCodecParams), &blob, sizeof(blob));
+    };
+
+    std::filesystem::remove(path);
+    writeUnfinished();
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_FALSE(std::filesystem::exists(tmp));
+
+    auto built = buildIndex("SQ8", Metric::L2);
+    built.save(path.string());
+    const auto saved = readFile(path);
+    writeUnfinished();
+    EXPECT_EQ(readFile(path), saved);
+    EXPECT_FALSE(std::filesystem::exists(tmp));
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <optional>
+#include <string>
 
 #include "core/manifest.hpp"
 #include "core/search_strategy.hpp"
@@ -84,6 +89,97 @@ TEST(Manifest, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.dim, 16u);
     EXPECT_EQ(loaded.codec, "SQ4");
     EXPECT_EQ(loaded.cluster_files, manifest.cluster_files);
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * Write a ten-cluster manifest to @p dir, apply @p edit to its text, and
+ * return the error code Manifest::load throws (nullopt: it loaded).
+ */
+std::optional<util::FormatErrorCode>
+loadEditedManifest(const std::filesystem::path &dir,
+                   const std::function<void(std::string &)> &edit)
+{
+    std::filesystem::create_directories(dir);
+    core::Manifest manifest;
+    manifest.num_clusters = 10;
+    manifest.dim = 32;
+    for (std::size_t c = 0; c < manifest.num_clusters; ++c)
+        manifest.cluster_files.push_back("cluster_" + std::to_string(c) +
+                                         ".hivf");
+    manifest.save(dir);
+    const auto path = dir / "manifest.txt";
+    std::string text;
+    {
+        std::ifstream in(path);
+        text.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    edit(text);
+    std::ofstream(path, std::ios::trunc) << text;
+    try {
+        (void)core::Manifest::load(dir);
+        return std::nullopt;
+    } catch (const util::FormatError &e) {
+        return e.code();
+    }
+}
+
+void
+replaceLine(std::string &text, const std::string &prefix,
+            const std::string &line)
+{
+    const auto at = text.find(prefix);
+    ASSERT_NE(at, std::string::npos) << prefix;
+    text.replace(at, text.find('\n', at) - at, line);
+}
+
+TEST(Manifest, CorruptManifestThrowsFormatError)
+{
+    const auto dir =
+        std::filesystem::temp_directory_path() / "hermes_bad_manifest";
+    using util::FormatErrorCode;
+    EXPECT_EQ(loadEditedManifest(dir, [](std::string &) {}), std::nullopt);
+    EXPECT_EQ(loadEditedManifest(dir,
+                                 [](std::string &t) {
+                                     replaceLine(t, "num_clusters=",
+                                                 "num_clusters=abc");
+                                 }),
+              FormatErrorCode::Corrupt);
+    EXPECT_EQ(loadEditedManifest(dir,
+                                 [](std::string &t) {
+                                     replaceLine(t, "cluster_9=", "");
+                                 }),
+              FormatErrorCode::Corrupt);
+    for (const char *bad : {"dim=", "dim=-3", "dim=12x", "dim= 12",
+                            "dim=99999999999999999999999"}) {
+        EXPECT_EQ(loadEditedManifest(dir,
+                                     [&](std::string &t) {
+                                         replaceLine(t, "dim=", bad);
+                                     }),
+                  FormatErrorCode::Corrupt)
+            << bad;
+    }
+
+    std::filesystem::remove(dir / "manifest.txt");
+    try {
+        (void)core::Manifest::load(dir);
+        ADD_FAILURE() << "missing manifest accepted";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), FormatErrorCode::Io) << e.what();
+    }
+    // An entry point turns the throw into a clean exit, not an abort.
+    EXPECT_EXIT((void)core::loadOrFatal(
+                    [&] { return core::Manifest::load(dir); }),
+                ::testing::ExitedWithCode(1), "inaccessible archive");
+
+    // Saving into a directory that does not exist is an Io error too.
+    try {
+        core::Manifest().save(dir / "absent");
+        ADD_FAILURE() << "manifest written into a missing directory";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), FormatErrorCode::Io) << e.what();
+    }
     std::filesystem::remove_all(dir);
 }
 

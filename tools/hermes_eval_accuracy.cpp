@@ -57,7 +57,8 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     std::filesystem::path dir(args.get("index"));
-    auto manifest = core::Manifest::load(dir);
+    auto manifest =
+        core::loadOrFatal([&] { return core::Manifest::load(dir); });
 
     core::HermesConfig config;
     config.sample_nprobe =
