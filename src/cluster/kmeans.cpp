@@ -52,6 +52,12 @@ argminCentroid(const float *x, const Matrix &centroids)
 /**
  * k-means++ seeding: pick centroids proportionally to squared distance from
  * the closest already-chosen centroid.
+ *
+ * The distance update runs on the build pool in row blocks. A block is a
+ * multiple of 4 rows, so every row sits in the same four-row kernel group
+ * (and the final partial group in the same tail) as in one call over all
+ * rows: dist_sq is bit-identical for any block split. The total then sums
+ * dist_sq in row order.
  */
 Matrix
 seedKMeansPp(const Matrix &data, std::size_t k, util::Rng &rng)
@@ -65,19 +71,22 @@ seedKMeansPp(const Matrix &data, std::size_t k, util::Rng &rng)
     centroids.append(data.row(first));
 
     std::vector<float> dist_sq(n, std::numeric_limits<float>::max());
-    std::vector<float> block(std::min(n, kScanBlockRows));
+    const std::size_t block =
+        (util::ThreadPool::blockFor(d) + 3) / 4 * 4;
     for (std::size_t c = 1; c < k; ++c) {
         const float *last = centroids.row(c - 1).data();
+        util::ThreadPool::shared().parallelForBlocks(
+            n, block, [&](std::size_t begin, std::size_t end) {
+                static thread_local std::vector<float> scores;
+                scores.resize(end - begin);
+                vecstore::l2SqBatch(last, data.row(begin).data(),
+                                    end - begin, d, scores.data());
+                for (std::size_t i = begin; i < end; ++i)
+                    dist_sq[i] = std::min(dist_sq[i], scores[i - begin]);
+            });
         double total = 0.0;
-        for (std::size_t base = 0; base < n; base += kScanBlockRows) {
-            const std::size_t len = std::min(kScanBlockRows, n - base);
-            vecstore::l2SqBatch(last, data.row(base).data(), len, d,
-                                block.data());
-            for (std::size_t i = 0; i < len; ++i) {
-                dist_sq[base + i] = std::min(dist_sq[base + i], block[i]);
-                total += dist_sq[base + i];
-            }
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            total += dist_sq[i];
         if (total <= 0.0) {
             // All remaining points coincide with chosen centroids; fall
             // back to a uniform pick.
@@ -144,32 +153,46 @@ kmeans(const Matrix &data, const KMeansConfig &config)
     result.sizes.assign(k, 0);
 
     std::vector<double> sums(k * d, 0.0);
+    std::vector<float> best_dist(n);
     double prev_objective = std::numeric_limits<double>::max();
 
     for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
         result.iterations = iter + 1;
 
-        // Assignment step: one blocked scan of the centroid matrix per
-        // point instead of a per-centroid kernel call.
+        // Assignment step, on the build pool: one blocked scan of the
+        // centroid matrix per point instead of a per-centroid kernel call.
+        util::ThreadPool::shared().parallelForBlocks(
+            n, util::ThreadPool::blockFor(k * d),
+            [&](std::size_t begin, std::size_t end) {
+                static thread_local std::vector<float> cd;
+                cd.resize(k);
+                for (std::size_t i = begin; i < end; ++i) {
+                    vecstore::l2SqBatch(train->row(i).data(),
+                                        result.centroids.data(), k, d,
+                                        cd.data());
+                    float best = std::numeric_limits<float>::max();
+                    std::uint32_t best_c = 0;
+                    for (std::size_t c = 0; c < k; ++c) {
+                        if (cd[c] < best) {
+                            best = cd[c];
+                            best_c = static_cast<std::uint32_t>(c);
+                        }
+                    }
+                    result.assignments[i] = best_c;
+                    best_dist[i] = best;
+                }
+            });
+
+        // Reductions, serially in row order.
         double objective = 0.0;
         std::fill(result.sizes.begin(), result.sizes.end(), 0);
         std::fill(sums.begin(), sums.end(), 0.0);
-        std::vector<float> cd(k);
         for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t c = result.assignments[i];
+            result.sizes[c]++;
+            objective += best_dist[i];
             const float *x = train->row(i).data();
-            vecstore::l2SqBatch(x, result.centroids.data(), k, d, cd.data());
-            float best = std::numeric_limits<float>::max();
-            std::uint32_t best_c = 0;
-            for (std::size_t c = 0; c < k; ++c) {
-                if (cd[c] < best) {
-                    best = cd[c];
-                    best_c = static_cast<std::uint32_t>(c);
-                }
-            }
-            result.assignments[i] = best_c;
-            result.sizes[best_c]++;
-            objective += best;
-            double *sum = sums.data() + best_c * d;
+            double *sum = sums.data() + c * d;
             for (std::size_t j = 0; j < d; ++j)
                 sum[j] += x[j];
         }
@@ -225,22 +248,19 @@ kmeans(const Matrix &data, const KMeansConfig &config)
 }
 
 std::vector<std::uint32_t>
-assignToCentroids(const Matrix &data, const Matrix &centroids,
-                  util::ThreadPool *pool)
+assignToCentroids(const Matrix &data, const Matrix &centroids)
 {
     HERMES_ASSERT(data.dim() == centroids.dim(),
                   "assign: dim mismatch ", data.dim(), " vs ",
                   centroids.dim());
     std::vector<std::uint32_t> out(data.rows());
-    auto assignOne = [&](std::size_t i) {
-        out[i] = argminCentroid(data.row(i).data(), centroids);
-    };
-    if (pool != nullptr) {
-        pool->parallelFor(data.rows(), assignOne);
-    } else {
-        for (std::size_t i = 0; i < data.rows(); ++i)
-            assignOne(i);
-    }
+    util::ThreadPool::shared().parallelForBlocks(
+        data.rows(),
+        util::ThreadPool::blockFor(centroids.rows() * centroids.dim()),
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                out[i] = argminCentroid(data.row(i).data(), centroids);
+        });
     return out;
 }
 

@@ -4,6 +4,12 @@
  *   - IVF coarse quantizer training (nlist cells),
  *   - Product Quantization codebooks,
  *   - Hermes datastore partitioning (Section 4.1 of the paper).
+ *
+ * Every pass over the points runs on the build pool
+ * (util::ThreadPool::shared()), in parallel over rows; every reduction
+ * (the k-means++ total, sizes, objective, centroid sums) adds in row
+ * order, so results are bit-identical to a one-thread run, and a kmeans()
+ * called from inside a pool task runs inline.
  */
 
 #pragma once
@@ -15,10 +21,6 @@
 #include "vecstore/types.hpp"
 
 namespace hermes {
-
-namespace util {
-class ThreadPool;
-} // namespace util
 
 namespace cluster {
 
@@ -76,13 +78,11 @@ struct KMeansResult
 KMeansResult kmeans(const vecstore::Matrix &data, const KMeansConfig &config);
 
 /**
- * Assign each row of @p data to the nearest centroid (L2). When @p pool
- * is non-null the rows are fanned out over it (assignments are
- * independent, so the result is identical either way).
+ * Assign each row of @p data to the nearest centroid (L2), rows fanned
+ * out over the build pool (assignments are independent).
  */
 std::vector<std::uint32_t> assignToCentroids(const vecstore::Matrix &data,
-                                             const vecstore::Matrix &centroids,
-                                             util::ThreadPool *pool = nullptr);
+                                             const vecstore::Matrix &centroids);
 
 /** Nearest centroid of a single vector. */
 std::uint32_t nearestCentroid(vecstore::VecView v,

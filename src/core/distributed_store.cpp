@@ -40,11 +40,12 @@ DistributedStore::build(const vecstore::Matrix &data,
     store.centroids_ = store.partition_.centroids;
 
     // Per-cluster index construction is independent and deterministic
-    // (seeded per cluster), so it parallelizes across cores without
-    // changing the result.
+    // (seeded per cluster), so it parallelizes across the build pool
+    // without changing the result. Each cluster's own k-means and add()
+    // then run inline on the thread that builds it.
     store.indices_.resize(config.num_clusters);
-    util::ThreadPool pool;
-    pool.parallelFor(config.num_clusters, [&](std::size_t c) {
+    util::ThreadPool::shared().parallelFor(config.num_clusters,
+                                           [&](std::size_t c) {
         const auto &members = store.partition_.members[c];
         HERMES_ASSERT(!members.empty(),
                       "similarity partitioning produced empty cluster ", c);

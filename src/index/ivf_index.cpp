@@ -11,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
+#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 #include "vecstore/distance.hpp"
 #include "vecstore/topk.hpp"
@@ -91,22 +92,6 @@ void
 IvfIndex::add(const vecstore::Matrix &data,
               const std::vector<vecstore::VecId> &ids)
 {
-    addImpl(data, ids, nullptr);
-}
-
-void
-IvfIndex::addParallel(const vecstore::Matrix &data,
-                      const std::vector<vecstore::VecId> &ids,
-                      util::ThreadPool &pool)
-{
-    addImpl(data, ids, &pool);
-}
-
-void
-IvfIndex::addImpl(const vecstore::Matrix &data,
-                  const std::vector<vecstore::VecId> &ids,
-                  util::ThreadPool *pool)
-{
     assertMutable("add");
     HERMES_ASSERT(trained_, "IvfIndex::add before train");
     HERMES_ASSERT(data.rows() == ids.size(), "add: row/id count mismatch");
@@ -114,29 +99,25 @@ IvfIndex::addImpl(const vecstore::Matrix &data,
 
     // New rows append to their lists in row order, so the result is
     // identical to a row-by-row add().
-    relayout(std::vector<std::uint8_t>(ntotal_, 1), ids,
-             encodeRows(data, pool));
+    relayout(std::vector<std::uint8_t>(ntotal_, 1), ids, encodeRows(data));
 }
 
 IvfIndex::EncodedRows
-IvfIndex::encodeRows(const vecstore::Matrix &data,
-                     util::ThreadPool *pool) const
+IvfIndex::encodeRows(const vecstore::Matrix &data) const
 {
     const std::size_t n = data.rows();
     EncodedRows rows;
     rows.lists.resize(n);
     rows.codes.resize(n * code_size_);
-    auto assignAndEncode = [&](std::size_t i) {
-        auto v = data.row(i);
-        rows.lists[i] = cluster::nearestCentroid(v, centroids_);
-        codec_->encode(v, rows.codes.data() + i * code_size_);
-    };
-    if (pool != nullptr) {
-        pool->parallelFor(n, assignAndEncode);
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            assignAndEncode(i);
-    }
+    util::ThreadPool::shared().parallelForBlocks(
+        n, util::ThreadPool::blockFor((centroids_.rows() + 1) * dim_),
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                auto v = data.row(i);
+                rows.lists[i] = cluster::nearestCentroid(v, centroids_);
+                codec_->encode(v, rows.codes.data() + i * code_size_);
+            }
+        });
     return rows;
 }
 

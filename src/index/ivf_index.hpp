@@ -65,19 +65,19 @@ class IvfIndex : public AnnIndex
     std::size_t size() const override { return ntotal_; }
     vecstore::Metric metric() const override { return metric_; }
     bool isTrained() const override { return trained_; }
+    /** K-means the coarse quantizer (on the build pool) and train the
+     *  codec. */
     void train(const vecstore::Matrix &data) override;
+
+    /**
+     * Assign and encode the rows on the build pool
+     * (util::ThreadPool::shared(); inline when called from a pool task),
+     * then append them to their lists in row order. The index is
+     * identical to add()ing the rows one at a time.
+     */
     void add(const vecstore::Matrix &data,
              const std::vector<vecstore::VecId> &ids) override;
 
-    /**
-     * add() with the assign+encode phase fanned out over @p pool (the
-     * per-row work — nearest-centroid assignment and codec encoding — is
-     * embarrassingly parallel; the list append stays sequential). The
-     * resulting index is identical to a sequential add().
-     */
-    void addParallel(const vecstore::Matrix &data,
-                     const std::vector<vecstore::VecId> &ids,
-                     util::ThreadPool &pool);
     vecstore::HitList search(vecstore::VecView query, std::size_t k,
                              const SearchParams &params = {},
                              SearchStats *stats = nullptr) const override;
@@ -193,10 +193,6 @@ class IvfIndex : public AnnIndex
     // Writes through the same row encoder and file header as add()/save().
     friend class IvfStreamWriter;
 
-    void addImpl(const vecstore::Matrix &data,
-                 const std::vector<vecstore::VecId> &ids,
-                 util::ThreadPool *pool);
-
     /** A batch of rows, assigned and encoded (row-major codes). */
     struct EncodedRows
     {
@@ -206,11 +202,11 @@ class IvfIndex : public AnnIndex
 
     /**
      * The row encoder of add() and IvfStreamWriter::add: nearest-centroid
-     * assignment and encoding, fanned out over @p pool when one is given
-     * (the result is pool-invariant).
+     * assignment and encoding, rows fanned out over the build pool
+     * (util::ThreadPool::shared(); rows are independent, so the result
+     * does not depend on the split).
      */
-    EncodedRows encodeRows(const vecstore::Matrix &data,
-                           util::ThreadPool *pool) const;
+    EncodedRows encodeRows(const vecstore::Matrix &data) const;
 
     /**
      * The mutation pass of add() and removeIds(): new exact-size sections

@@ -60,8 +60,7 @@ IvfStreamWriter::~IvfStreamWriter()
 
 void
 IvfStreamWriter::add(const vecstore::Matrix &data,
-                     const std::vector<vecstore::VecId> &ids,
-                     util::ThreadPool *pool)
+                     const std::vector<vecstore::VecId> &ids)
 {
     HERMES_ASSERT(!finished_, "IvfStreamWriter::add after finish");
     HERMES_ASSERT(data.rows() == ids.size(),
@@ -69,10 +68,10 @@ IvfStreamWriter::add(const vecstore::Matrix &data,
     HERMES_ASSERT(data.dim() == prototype_.dim(),
                   "stream add: dim mismatch");
 
-    // The prototype's row encoder (the one add() uses) is pool-invariant
-    // and records are spilled in row order, so the record stream is
-    // identical with or without a pool.
-    const auto rows = prototype_.encodeRows(data, pool);
+    // The prototype's row encoder (the one add() uses) runs on the build
+    // pool and records are spilled in row order, so the record stream is
+    // the one a row-at-a-time add() would give.
+    const auto rows = prototype_.encodeRows(data);
     for (std::size_t i = 0; i < ids.size(); ++i) {
         const std::uint32_t list = rows.lists[i];
         if (std::fwrite(&list, sizeof(list), 1, spill_) != 1 ||

@@ -60,14 +60,12 @@ class IvfStreamWriter
     /**
      * Assign + encode + spill one batch through the prototype's own row
      * encoder, so rows land in the output exactly as the same add()
-     * call on the prototype would place them.
-     * @param pool Optional pool to fan the per-row assign/encode over
-     *             (the spill stays sequential, so results are
-     *             pool-invariant).
+     * call on the prototype would place them. The assign/encode runs on
+     * the build pool (util::ThreadPool::shared()); the spill stays
+     * sequential, in row order.
      */
     void add(const vecstore::Matrix &data,
-             const std::vector<vecstore::VecId> &ids,
-             util::ThreadPool *pool = nullptr);
+             const std::vector<vecstore::VecId> &ids);
 
     /**
      * Open the output through the prototype's file header (the one

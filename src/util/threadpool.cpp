@@ -1,7 +1,10 @@
 #include "util/threadpool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <pthread.h>
+#include <unistd.h>
 
 #include "obs/obs.hpp"
 
@@ -14,10 +17,17 @@ namespace {
  *  parallelFor() can detect it would deadlock waiting on itself. */
 thread_local const ThreadPool *t_worker_pool = nullptr;
 
+/** The pool whose parallelFor() loop the calling thread is driving as
+ *  the caller, so a parallelFor nested in it runs inline too. */
+thread_local const ThreadPool *t_driving = nullptr;
+
+/** Scalar operations per parallelForBlocks task (see blockFor). */
+constexpr std::size_t kTaskCost = std::size_t(1) << 16;
+
 } // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads)
-    : default_group_(std::make_shared<GroupState>())
+    : default_group_(std::make_shared<GroupState>()), owner_pid_(::getpid())
 {
     if (num_threads == 0) {
         num_threads = std::max<std::size_t>(1,
@@ -39,10 +49,24 @@ ThreadPool::~ThreadPool()
         w.join();
 }
 
+ThreadPool &
+ThreadPool::shared()
+{
+    // Leaked on purpose: destroying it at exit would join its workers,
+    // and a forked child that exits has none to join.
+    static ThreadPool *const pool = [] {
+        auto *created = new ThreadPool();
+        for (auto &w : created->workers_)
+            pthread_setname_np(w.native_handle(), "hermes-build");
+        return created;
+    }();
+    return *pool;
+}
+
 bool
 ThreadPool::insideWorker() const
 {
-    return t_worker_pool == this;
+    return t_worker_pool == this || t_driving == this;
 }
 
 void
@@ -159,10 +183,12 @@ ThreadPool::parallelFor(std::size_t n,
     obs::ScopedSpan span("pool.parallel_for");
     span.arg("n", static_cast<std::uint64_t>(n));
 
-    // Inline when concurrency cannot help (single worker, single item) or
+    // Inline when concurrency cannot help (single worker, single item),
     // would deadlock (nested call from one of this pool's own tasks, which
-    // would block a worker waiting for tasks only that worker could run).
-    if (size() == 1 || n == 1 || insideWorker()) {
+    // would block a worker waiting for tasks only that worker could run)
+    // or cannot run (a forked child has none of the workers).
+    if (size() == 1 || n == 1 || insideWorker() ||
+        ::getpid() != owner_pid_) {
         span.arg("inline", 1.0);
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
@@ -195,15 +221,40 @@ ThreadPool::parallelFor(std::size_t n,
         });
     }
 
-    // The caller participates too; its exception takes priority (the
-    // group's captured one is then dropped by waitNoThrow in ~TaskGroup).
+    // The caller participates too, and a parallelFor nested in its
+    // iterations runs inline as it would on a worker. Its exception takes
+    // priority (the group's captured one is then dropped by waitNoThrow
+    // in ~TaskGroup).
+    const ThreadPool *const outer = t_driving;
+    t_driving = this;
     try {
         drive();
     } catch (...) {
+        t_driving = outer;
         failed->store(true, std::memory_order_relaxed);
         throw;
     }
+    t_driving = outer;
     group.wait();
+}
+
+void
+ThreadPool::parallelForBlocks(
+    std::size_t n, std::size_t block,
+    const std::function<void(std::size_t, std::size_t)> &fn)
+{
+    block = std::max<std::size_t>(block, 1);
+    parallelFor((n + block - 1) / block, [&](std::size_t b) {
+        const std::size_t begin = b * block;
+        fn(begin, std::min(n, begin + block));
+    });
+}
+
+std::size_t
+ThreadPool::blockFor(std::size_t cost_per_item)
+{
+    return std::max<std::size_t>(
+        1, kTaskCost / std::max<std::size_t>(cost_per_item, 1));
 }
 
 } // namespace util

@@ -12,6 +12,12 @@
  * so concurrent callers never wait on each other's tasks, and a
  * parallelFor() issued from inside a pool task runs inline instead of
  * deadlocking on its own worker.
+ *
+ * Build pool: shared() is the one process-wide pool that every index
+ * build path (k-means, IvfIndex::add, IvfStreamWriter::add,
+ * DistributedStore::build) runs on. It is created on first use and
+ * never destroyed, and its parallelFor() runs inline in a process that
+ * did not create it (a fork()ed child has none of its workers).
  */
 
 #pragma once
@@ -23,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <sys/types.h>
 #include <thread>
 #include <vector>
 
@@ -95,6 +102,14 @@ class ThreadPool
     ~ThreadPool();
 
     /**
+     * The process-wide build pool: hardware_concurrency() workers
+     * (named "hermes-build"), created on first use. It is never
+     * destroyed, so no exit path — a forked child's exit() included —
+     * joins workers that may not exist.
+     */
+    static ThreadPool &shared();
+
+    /**
      * Enqueue a task in the pool-wide default group. An exception thrown
      * by the task is captured and rethrown from the next wait().
      */
@@ -115,14 +130,32 @@ class ThreadPool
      * shared atomic counter, and block until done. The calling thread
      * participates in the loop, so progress is guaranteed even when all
      * workers are busy with other groups. Runs inline when the pool has
-     * a single worker or when called from inside one of this pool's own
-     * tasks (nested parallelFor). If any iteration throws, remaining
+     * a single worker, when called from inside one of this pool's own
+     * tasks or loops (nested parallelFor, so nesting never adds
+     * threads), or from a process other than the one that created the
+     * pool (a forked child). If any iteration throws, remaining
      * indices are abandoned and the first exception is rethrown here.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);
 
-    /** True when the calling thread is one of this pool's workers. */
+    /**
+     * parallelFor over [0, n) in blocks of @p block items: fn(begin, end)
+     * once per block, so cheap items share one dispatch.
+     */
+    void parallelForBlocks(
+        std::size_t n, std::size_t block,
+        const std::function<void(std::size_t, std::size_t)> &fn);
+
+    /**
+     * Block size for parallelForBlocks over items that each cost about
+     * @p cost_per_item scalar operations: enough items that one task's
+     * work outweighs its dispatch, at least one.
+     */
+    static std::size_t blockFor(std::size_t cost_per_item);
+
+    /** True when the calling thread is one of this pool's workers or is
+     *  running a loop of this pool's parallelFor. */
     bool insideWorker() const;
 
   private:
@@ -143,6 +176,7 @@ class ThreadPool
     std::condition_variable cv_task_;
     std::shared_ptr<GroupState> default_group_;
     bool stopping_ = false;
+    const pid_t owner_pid_; ///< process that started the workers
 };
 
 } // namespace util

@@ -5,14 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "cluster/imbalance.hpp"
 #include "cluster/kmeans.hpp"
 #include "cluster/partitioner.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -144,6 +149,130 @@ TEST(KMeans, NearestCentroidsReturnsSortedPrefix)
     // Asking for more than k clamps.
     auto top9 = nearestCentroids(data.row(0), result.centroids, 9);
     EXPECT_EQ(top9.size(), 5u);
+}
+
+/** True when two k-means results match bit for bit. */
+::testing::AssertionResult
+sameBytes(const KMeansResult &a, const KMeansResult &b)
+{
+    const std::size_t floats = a.centroids.rows() * a.centroids.dim();
+    if (b.centroids.rows() != a.centroids.rows() ||
+        b.centroids.dim() != a.centroids.dim() ||
+        std::memcmp(a.centroids.data(), b.centroids.data(),
+                    floats * sizeof(float)) != 0) {
+        return ::testing::AssertionFailure() << "centroid bytes differ";
+    }
+    if (a.assignments != b.assignments)
+        return ::testing::AssertionFailure() << "assignments differ";
+    if (a.sizes != b.sizes)
+        return ::testing::AssertionFailure() << "sizes differ";
+    if (std::memcmp(&a.objective, &b.objective, sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "objective " << a.objective << " vs " << b.objective;
+    }
+    if (a.iterations != b.iterations)
+        return ::testing::AssertionFailure() << "iteration counts differ";
+    return ::testing::AssertionSuccess();
+}
+
+/** kmeans() run as a task of the build pool, where its own parallelFor
+ *  calls run inline: the one-thread reference. */
+KMeansResult
+kmeansInsidePoolTask(const Matrix &data, const KMeansConfig &config)
+{
+    KMeansResult out;
+    util::ThreadPool::TaskGroup group(util::ThreadPool::shared());
+    group.run([&] { out = kmeans(data, config); });
+    group.wait();
+    return out;
+}
+
+/** Rows 0..n-1 cycling through @p distinct points of @p d dims. */
+Matrix
+repeatedPoints(std::size_t n, std::size_t distinct, std::size_t d)
+{
+    auto points = blobs(1, distinct, d, 31);
+    Matrix data(d);
+    for (std::size_t i = 0; i < n; ++i)
+        data.append(points.row(i % distinct));
+    return data;
+}
+
+TEST(KMeans, PooledMatchesInline)
+{
+    struct Shape
+    {
+        const char *name;
+        Matrix data;
+        std::size_t k;
+        std::size_t max_training_points;
+        bool expect_empty_cluster;
+    };
+    std::vector<Shape> shapes;
+    // n a multiple of no block size (seeding, assignment or sum slabs).
+    shapes.push_back({"n=5003,d=32", blobs(5003, 1, 32, 11), 16, 0, false});
+    shapes.push_back({"n=1003,d=384", blobs(1003, 1, 384, 12), 8, 0,
+                      false});
+    shapes.push_back({"k=1", blobs(777, 1, 32, 13), 1, 0, false});
+    shapes.push_back({"k=n", blobs(1, 64, 384, 14), 64, 0, false});
+    // Three distinct points and k = 8: k-means++ falls back to duplicate
+    // picks, whose clusters stay empty and are repaired every iteration.
+    shapes.push_back({"empty-cluster repair", repeatedPoints(3001, 3, 32),
+                      8, 0, true});
+    shapes.push_back({"subsampled", blobs(2000, 10, 32, 15), 24, 3001,
+                      false});
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(shape.name);
+        KMeansConfig config;
+        config.k = shape.k;
+        config.seed = 3;
+        config.max_training_points = shape.max_training_points;
+        const auto inline_run = kmeansInsidePoolTask(shape.data, config);
+        const auto pooled = kmeans(shape.data, config);
+        EXPECT_TRUE(sameBytes(inline_run, pooled));
+        const bool has_empty =
+            std::count(pooled.sizes.begin(), pooled.sizes.end(), 0u) > 0;
+        EXPECT_EQ(has_empty, shape.expect_empty_cluster);
+
+        const auto assign_inline = [&] {
+            std::vector<std::uint32_t> out;
+            util::ThreadPool::TaskGroup group(util::ThreadPool::shared());
+            group.run([&] {
+                out = assignToCentroids(shape.data, pooled.centroids);
+            });
+            group.wait();
+            return out;
+        }();
+        EXPECT_EQ(assign_inline,
+                  assignToCentroids(shape.data, pooled.centroids));
+    }
+}
+
+TEST(KMeans, ForkedChildRunsInline)
+{
+    auto data = blobs(500, 8, 32, 21);
+    KMeansConfig config;
+    config.k = 16;
+    config.seed = 5;
+    // Runs on the build pool, so its workers exist in this process.
+    const auto parent = kmeans(data, config);
+
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // The child has none of the pool's workers. Were its parallelFor
+        // to hand them work it would wait forever; the alarm turns that
+        // into a failed test instead of a hung one.
+        alarm(20);
+        const auto child = kmeans(data, config);
+        _exit(sameBytes(parent, child) ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child killed by signal "
+        << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "child centroids differ";
 }
 
 TEST(Imbalance, PerfectBalance)

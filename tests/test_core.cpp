@@ -6,13 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
+#include <sstream>
+#include <thread>
 
 #include "core/distributed_store.hpp"
 #include "core/search_strategy.hpp"
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
+#include "util/threadpool.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -301,6 +310,106 @@ TEST(TraceBatch, PopularTopicsSkewAccessFrequency)
     auto mx = *std::max_element(counts.begin(), counts.end());
     auto mn = *std::min_element(counts.begin(), counts.end());
     EXPECT_GT(mx, mn);
+}
+
+/** One thread of this process, as /proc/self/task reports it. */
+struct TaskInfo
+{
+    std::string tid;
+    std::string name;
+    char state = '?';
+    unsigned long long cpu_ticks = 0; ///< utime + stime
+};
+
+/** Every live thread of this process (empty where /proc is missing). */
+std::vector<TaskInfo>
+liveTasks()
+{
+    std::vector<TaskInfo> out;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task", ec)) {
+        std::ifstream in(entry.path() / "stat");
+        const std::string stat((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        const auto open = stat.find('(');
+        const auto close = stat.rfind(')');
+        if (open == std::string::npos || close == std::string::npos)
+            continue; // the thread exited between listing and reading
+        TaskInfo task;
+        task.tid = entry.path().filename().string();
+        task.name = stat.substr(open + 1, close - open - 1);
+        // Fields after the name: state (3), ..., utime (14), stime (15).
+        std::istringstream fields(stat.substr(close + 2));
+        std::vector<std::string> f((std::istream_iterator<std::string>(
+                                        fields)),
+                                    std::istream_iterator<std::string>());
+        if (f.size() < 13)
+            continue;
+        task.state = f[0][0];
+        task.cpu_ticks = std::stoull(f[11]) + std::stoull(f[12]);
+        out.push_back(task);
+    }
+    return out;
+}
+
+/** The build pool's workers among @p tasks. */
+std::vector<TaskInfo>
+poolWorkers(const std::vector<TaskInfo> &tasks)
+{
+    std::vector<TaskInfo> out;
+    std::copy_if(tasks.begin(), tasks.end(), std::back_inserter(out),
+                 [](const TaskInfo &t) { return t.name == "hermes-build"; });
+    return out;
+}
+
+TEST(BuildPool, BuildsStartNoThreadsAndLeaveThePoolIdle)
+{
+    if (liveTasks().empty())
+        GTEST_SKIP() << "no /proc/self/task";
+    const auto &data = coreData();
+    auto &pool = util::ThreadPool::shared();
+    const auto start = liveTasks();
+    ASSERT_EQ(poolWorkers(start).size(), pool.size());
+    const std::size_t baseline = start.size() - pool.size();
+
+    // A watcher samples the thread count while the builds run: a
+    // per-build pool would show up for the whole of its build.
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> peak{0};
+    std::thread watcher([&] {
+        while (!done.load()) {
+            const std::size_t now = liveTasks().size();
+            if (now > peak.load())
+                peak.store(now);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    for (int b = 0; b < 5; ++b) {
+        auto store = DistributedStore::build(data.corpus.embeddings,
+                                             data.config);
+        EXPECT_EQ(store.totalVectors(), data.corpus.embeddings.rows());
+        EXPECT_EQ(liveTasks().size(), baseline + pool.size() + 1)
+            << "after build " << b;
+    }
+    done.store(true);
+    watcher.join();
+    EXPECT_LE(peak.load(), baseline + pool.size() + 1);
+    EXPECT_EQ(liveTasks().size(), baseline + pool.size());
+
+    // An idle pool blocks: every worker sleeps and burns no CPU.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto before = poolWorkers(liveTasks());
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const auto after = poolWorkers(liveTasks());
+    ASSERT_EQ(before.size(), after.size());
+    unsigned long long spent = 0;
+    for (std::size_t w = 0; w < after.size(); ++w) {
+        ASSERT_EQ(after[w].tid, before[w].tid);
+        EXPECT_EQ(after[w].state, 'S') << "worker " << after[w].tid;
+        spent += after[w].cpu_ticks - before[w].cpu_ticks;
+    }
+    EXPECT_EQ(spent, 0u) << "idle workers used CPU";
 }
 
 } // namespace

@@ -98,6 +98,25 @@ TEST(ThreadPoolFaults, NestedParallelForRunsInlineWithoutDeadlock)
         EXPECT_EQ(t.load(), 1);
 }
 
+TEST(ThreadPoolFaults, NestedParallelForStaysOnItsThread)
+{
+    // Two outer items on two workers: one runs on the caller, one on a
+    // worker, and the second worker is idle. A nested loop still runs
+    // on the thread that reached it, the caller's included, so nesting
+    // never puts more threads to work than the outer loop does.
+    util::ThreadPool pool(2);
+    std::atomic<int> moved{0};
+    pool.parallelFor(2, [&](std::size_t) {
+        const auto self = std::this_thread::get_id();
+        pool.parallelFor(8, [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            if (std::this_thread::get_id() != self)
+                moved++;
+        });
+    });
+    EXPECT_EQ(moved.load(), 0);
+}
+
 TEST(ThreadPoolFaults, ConcurrentParallelForCallersAreIndependent)
 {
     util::ThreadPool pool(4);

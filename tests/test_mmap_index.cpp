@@ -29,7 +29,6 @@
 #include "util/mmap_file.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
-#include "util/threadpool.hpp"
 #include "vecstore/simd_dispatch.hpp"
 #include "workload/corpus.hpp"
 
@@ -489,7 +488,6 @@ TEST(StreamWriter, ByteIdenticalToSave)
         auto stream_path = tempIndexPath("stream_out");
         IvfStreamWriter::Options options;
         options.buffer_budget_bytes = 1024; // force repeated flushes
-        util::ThreadPool pool;
         IvfStreamWriter writer(prototype, stream_path.string(), options);
         const std::size_t batch = 257; // deliberately odd split
         for (std::size_t at = 0; at < data.base.rows(); at += batch) {
@@ -500,7 +498,7 @@ TEST(StreamWriter, ByteIdenticalToSave)
                 rows.append(data.base.row(at + i));
                 ids.push_back(static_cast<vecstore::VecId>(at + i));
             }
-            writer.add(rows, ids, &pool);
+            writer.add(rows, ids);
         }
         EXPECT_EQ(writer.finish(), data.base.rows());
 

@@ -24,7 +24,6 @@
 #include "index/ivf_index.hpp"
 #include "quant/codec.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 #include "vecstore/distance.hpp"
 #include "vecstore/matrix.hpp"
 #include "vecstore/simd_dispatch.hpp"
@@ -505,7 +504,7 @@ TEST(IvfParity, ScalarAndDefaultArmsAgreeEndToEnd)
     }
 }
 
-TEST(IvfParity, AddParallelMatchesSequentialAdd)
+TEST(IvfParity, PooledAddMatchesRowAtATimeAdd)
 {
     const std::size_t d = 24;
     auto data = randomMatrix(600, d, 51);
@@ -514,26 +513,31 @@ TEST(IvfParity, AddParallelMatchesSequentialAdd)
     index::IvfConfig config;
     config.nlist = 8;
     config.codec = "PQ8";
-    index::IvfIndex seq(d, vecstore::Metric::L2, config);
-    index::IvfIndex par(d, vecstore::Metric::L2, config);
-    seq.train(data);
-    par.train(data);
-    seq.addSequential(data);
+    index::IvfIndex rowwise(d, vecstore::Metric::L2, config);
+    index::IvfIndex pooled(d, vecstore::Metric::L2, config);
+    rowwise.train(data);
+    pooled.train(data);
 
+    // Reference: one row per add(), which runs inline (a one-item
+    // parallelFor never leaves the caller).
     std::vector<vecstore::VecId> ids(data.rows());
-    for (std::size_t i = 0; i < ids.size(); ++i)
+    for (std::size_t i = 0; i < ids.size(); ++i) {
         ids[i] = static_cast<vecstore::VecId>(i);
-    util::ThreadPool pool(4);
-    par.addParallel(data, ids, pool);
+        vecstore::Matrix row(d);
+        row.append(data.row(i));
+        rowwise.add(row, {ids[i]});
+    }
+    // One batched add(), fanned out over the build pool.
+    pooled.add(data, ids);
 
-    ASSERT_EQ(seq.size(), par.size());
+    ASSERT_EQ(rowwise.size(), pooled.size());
     for (std::size_t l = 0; l < config.nlist; ++l)
-        EXPECT_EQ(seq.listSize(l), par.listSize(l)) << "list " << l;
+        EXPECT_EQ(rowwise.listSize(l), pooled.listSize(l)) << "list " << l;
     index::SearchParams params;
     params.nprobe = 3;
     for (std::size_t q = 0; q < queries.rows(); ++q) {
-        EXPECT_EQ(seq.search(queries.row(q), 5, params),
-                  par.search(queries.row(q), 5, params))
+        EXPECT_EQ(rowwise.search(queries.row(q), 5, params),
+                  pooled.search(queries.row(q), 5, params))
             << "query " << q;
     }
 }

@@ -27,7 +27,6 @@
 #include "core/manifest.hpp"
 #include "index/ivf_stream_writer.hpp"
 #include "util/argparse.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 #include "workload/corpus.hpp"
 
@@ -109,8 +108,8 @@ buildDeployment(const hermes::util::ArgParser &args)
         // Bounded-memory path: partition, then per cluster train a
         // prototype and stream the rows through the spill-and-scatter
         // writer. Clusters are built sequentially on purpose — the
-        // point is the memory ceiling, and the writer's add() still
-        // fans encode work across the pool.
+        // point is the memory ceiling, and each cluster's k-means and
+        // the writer's add() still fan out over the build pool.
         config.validate();
         config.partition.num_partitions = config.num_clusters;
         auto partition = cluster::partition(data, config.partition);
@@ -125,7 +124,6 @@ buildDeployment(const hermes::util::ArgParser &args)
             static_cast<std::size_t>(
                 std::max<long>(args.getInt("stream-budget-mb"), 1))
             << 20;
-        util::ThreadPool pool;
         std::uintmax_t index_bytes = 0;
         for (std::size_t c = 0; c < config.num_clusters; ++c) {
             const auto &members = partition.members[c];
@@ -162,7 +160,7 @@ buildDeployment(const hermes::util::ArgParser &args)
                     members.begin() + static_cast<std::ptrdiff_t>(at + n));
                 std::vector<vecstore::VecId> ids(rows.begin(), rows.end());
                 vecstore::Matrix batch = data.gather(rows);
-                writer.add(batch, ids, &pool);
+                writer.add(batch, ids);
             }
             writer.finish();
             index_bytes += std::filesystem::file_size(dir / file);
